@@ -1,30 +1,26 @@
-// E20: batch relation engine throughput — serial all-pairs loop vs MBB
-// prefiltering vs the work-stealing thread pool, on 1k–10k-region
-// configurations. Plain main (not google-benchmark) because each data point
-// is one long wall-clock measurement and the binary also emits
-// BENCH_engine.json for the perf-trajectory ledger. Engine runs also record
-// the observability counters (prefilter hit rate, chunks stolen, pairs/sec)
-// so the bench trajectory captures more than wall-clock, and each run's
-// counters are checked against the engine's accounting invariants
-// (prefiltered + computed = total pairs; edges split ≥ edges in) — the
-// binary exits non-zero on a violation, which the nightly CI job relies on.
+// E20/E24/E25: the all-pairs engines — the serial Compute-CDR loop vs the
+// sweep join (serial and strip-parallel) vs single-mutation delta
+// maintenance, on map and overlap configurations. Plain main (not
+// google-benchmark) because each data point is one long wall-clock
+// measurement and the binary also emits BENCH_engine.json for the
+// perf-trajectory ledger. Engine runs also record the observability
+// counters (implicit-resolution rate, chunks stolen, pairs/sec) so the
+// bench trajectory captures more than wall-clock, and each run's counters
+// are checked against the engine's accounting invariants (implicit +
+// computed = total pairs; edges split ≥ edges in) — the binary exits
+// non-zero on a violation, which the nightly CI job relies on.
 //
-//   bench_engine [--sizes 1000,2000] [--serial-cap 2000] [--engine-cap 25000]
-//                [--overlap 600] [--threads 2,8] [--repeat 1]
-//                [--out BENCH_engine.json] [--trace-out trace.json]
-//                [--flight-record record.txt] [--profile profile.folded]
-//                [--profile-hz 997]
+//   bench_engine [--sizes 1000,2000] [--serial-cap 2000] [--overlap 600]
+//                [--repeat 1] [--out BENCH_engine.json]
+//                [--trace-out trace.json] [--flight-record record.txt]
+//                [--profile profile.folded] [--profile-hz 997]
 //
 // Sizes above --serial-cap skip the serial baseline (quadratic, validated
-// per pair — minutes at 10k); sizes above 5000 use the engine's digest
-// mode so that 10^8-pair matrices do not have to be materialised. Sizes
-// above --engine-cap skip the dense-engine modes entirely and run only the
-// engine_sweep rows: the sweep join's run-length RelationStore is the only
-// mode whose memory stays sub-quadratic, so it alone covers n = 50k/100k.
-// --repeat N times each *engine* row N times and records the best wall
-// time (the serial baseline always runs once — it is quadratic and only a
-// reference point): single engine measurements on a loaded host can swing
-// ±50%, which would flake the perf-smoke gate that diffs ledgers.
+// per pair — minutes at 10k). --repeat N times each sweep row N times and
+// records the best wall time (the serial baseline always runs once — it is
+// quadratic and only a reference point): single engine measurements on a
+// loaded host can swing ±50%, which would flake the perf-smoke gate that
+// diffs ledgers.
 
 #include <algorithm>
 #include <chrono>
@@ -38,7 +34,6 @@
 
 #include "bench_common.h"
 #include "core/compute_cdr.h"
-#include "engine/batch_engine.h"
 #include "engine/delta_engine.h"
 #include "engine/relation_store.h"
 #include "engine/thread_pool.h"
@@ -148,10 +143,8 @@ struct RunRecord {
   // Memory telemetry (obs/memstats.h): per-arena high-water bytes within
   // this run's window (ObsWindow resets peaks at window start) plus the
   // process RSS sampled at window close. All zero under -DCARDIR_OBS=OFF.
-  int64_t mem_pair_matrix_peak_bytes = 0;
   int64_t mem_edge_soa_peak_bytes = 0;
-  int64_t mem_worker_scratch_peak_bytes = 0;
-  int64_t mem_crossing_queue_peak_bytes = 0;
+  int64_t mem_sweep_scratch_peak_bytes = 0;
   int64_t mem_relation_store_peak_bytes = 0;
   int64_t mem_total_peak_bytes = 0;
   int64_t mem_process_rss_bytes = 0;
@@ -195,9 +188,9 @@ void CheckCounterInvariants(const RunRecord& r,
 
 // The loop Configuration::ComputeAllRelations ran before the engine:
 // validated Compute-CDR per ordered pair, results materialised in order.
-// Validation stays per pair (that is the cost the nofilter row isolates);
-// only the counter flush is batched, so the timed region carries the same
-// instrumentation overhead as the engine's chunked path.
+// Validation stays per pair, as in that loop; only the counter flush is
+// batched, so the timed region carries the same instrumentation overhead
+// as the engine's strip-chunked path.
 double TimeSerialLoop(const std::vector<Region>& regions) {
   const auto start = std::chrono::steady_clock::now();
   std::vector<CardinalRelation> matrix;
@@ -244,26 +237,6 @@ double TimeSweep(const std::vector<Region>& regions,
   return ms;
 }
 
-double TimeEngine(const std::vector<Region>& regions,
-                  const EngineOptions& options, bool digest_mode,
-                  EngineStats* stats) {
-  const auto start = std::chrono::steady_clock::now();
-  if (digest_mode) {
-    auto digest = ComputeAllPairsDigest(regions, options, stats);
-    if (!digest.ok()) {
-      std::cerr << "engine failed: " << digest.status() << "\n";
-      std::exit(1);
-    }
-  } else {
-    auto pairs = ComputeAllPairs(regions, options, stats);
-    if (!pairs.ok()) {
-      std::cerr << "engine failed: " << pairs.status() << "\n";
-      std::exit(1);
-    }
-  }
-  return MsSince(start);
-}
-
 std::vector<int> ParseIntList(const std::string& text) {
   std::vector<int> values;
   for (const std::string& piece : StrSplit(text, ',')) {
@@ -289,12 +262,9 @@ void RecordCounters(RunRecord* r, const bench::ObsWindow& window) {
   r->edges_split = delta.counter("core.edges.split");
   r->delta_pairs_reresolved = delta.counter("delta.pairs_reresolved");
   r->delta_pairs_implicit = delta.counter("delta.pairs_implicit");
-  r->mem_pair_matrix_peak_bytes = delta.gauge("mem.pair_matrix.peak_bytes");
   r->mem_edge_soa_peak_bytes = delta.gauge("mem.edge_soa.peak_bytes");
-  r->mem_worker_scratch_peak_bytes =
-      delta.gauge("mem.worker_scratch.peak_bytes");
-  r->mem_crossing_queue_peak_bytes =
-      delta.gauge("mem.crossing_queue.peak_bytes");
+  r->mem_sweep_scratch_peak_bytes =
+      delta.gauge("mem.sweep_scratch.peak_bytes");
   r->mem_relation_store_peak_bytes =
       delta.gauge("mem.relation_store.peak_bytes");
   r->mem_total_peak_bytes = delta.gauge("mem.total.peak_bytes");
@@ -360,10 +330,8 @@ void WriteJson(const std::vector<RunRecord>& records, int repeat,
         "\"chunks_stolen\": %llu, \"edges_input\": %llu, "
         "\"edges_split\": %llu, \"delta_pairs_reresolved\": %llu, "
         "\"delta_pairs_implicit\": %llu, "
-        "\"mem_pair_matrix_peak_bytes\": %s, "
         "\"mem_edge_soa_peak_bytes\": %s, "
-        "\"mem_worker_scratch_peak_bytes\": %s, "
-        "\"mem_crossing_queue_peak_bytes\": %s, "
+        "\"mem_sweep_scratch_peak_bytes\": %s, "
         "\"mem_relation_store_peak_bytes\": %s, "
         "\"mem_total_peak_bytes\": %s, "
         "\"mem_process_rss_bytes\": %s}%s\n",
@@ -378,10 +346,8 @@ void WriteJson(const std::vector<RunRecord>& records, int repeat,
         static_cast<unsigned long long>(r.edges_split),
         static_cast<unsigned long long>(r.delta_pairs_reresolved),
         static_cast<unsigned long long>(r.delta_pairs_implicit),
-        mem(r.mem_pair_matrix_peak_bytes).c_str(),
         mem(r.mem_edge_soa_peak_bytes).c_str(),
-        mem(r.mem_worker_scratch_peak_bytes).c_str(),
-        mem(r.mem_crossing_queue_peak_bytes).c_str(),
+        mem(r.mem_sweep_scratch_peak_bytes).c_str(),
         mem(r.mem_relation_store_peak_bytes).c_str(),
         mem(r.mem_total_peak_bytes).c_str(),
         mem(r.mem_process_rss_bytes).c_str(),
@@ -395,9 +361,7 @@ void WriteJson(const std::vector<RunRecord>& records, int repeat,
 
 int Main(int argc, char** argv) {
   std::vector<int> sizes = {1000, 2000};
-  std::vector<int> thread_counts = {2, 8};
   int serial_cap = 2000;
-  int engine_cap = 25000;
   int overlap_size = 600;
   int repeat = 1;
   std::string out_path = "BENCH_engine.json";
@@ -416,12 +380,8 @@ int Main(int argc, char** argv) {
     };
     if (arg == "--sizes") {
       sizes = ParseIntList(next());
-    } else if (arg == "--threads") {
-      thread_counts = ParseIntList(next());
     } else if (arg == "--serial-cap") {
       serial_cap = std::stoi(next());
-    } else if (arg == "--engine-cap") {
-      engine_cap = std::stoi(next());
     } else if (arg == "--overlap") {
       overlap_size = std::stoi(next());
     } else if (arg == "--repeat") {
@@ -462,7 +422,6 @@ int Main(int argc, char** argv) {
                           const std::vector<Region>& regions) {
     const int n = static_cast<int>(regions.size());
     const size_t pairs = static_cast<size_t>(n) * (n - 1);
-    const bool digest_mode = n > 5000;
     double serial_ms = 0;
 
     if (n <= serial_cap) {
@@ -483,80 +442,12 @@ int Main(int argc, char** argv) {
       PrintRecord(serial);
     }
 
-    // Best-of-`repeat` engine timing. Counters are recorded over the last
-    // repetition only (each repetition is deterministic, so the windows are
-    // identical — summing them would break the accounting invariants).
-    auto time_engine_best = [&](const EngineOptions& options,
-                                RunRecord* r, EngineStats* stats) {
-      double best = 0;
-      for (int rep = 0; rep < repeat; ++rep) {
-        const bench::ObsWindow window;
-        const double ms = TimeEngine(regions, options, digest_mode, stats);
-        if (rep == 0 || ms < best) best = ms;
-        if (rep + 1 == repeat) {
-          r->ms = best;
-          RecordCounters(r, window);
-        }
-      }
-    };
-
-    // Engine, no prefilter, 1 thread: isolates the once-per-region
-    // validation win over the serial loop.
-    if (n <= serial_cap) {
-      EngineOptions options;
-      options.threads = 1;
-      options.use_prefilter = false;
-      RunRecord r;
-      r.workload = name;
-      r.regions = n;
-      r.mode = "engine_nofilter";
-      r.threads = 1;
-      r.pairs = pairs;
-      EngineStats stats;
-      time_engine_best(options, &r, &stats);
-      if (serial_ms > 0) r.speedup_vs_serial = serial_ms / r.ms;
-      records.push_back(r);
-      PrintRecord(r);
-    }
-
-    // Engine with prefilter: 1 thread, the requested parallel counts, and
-    // one row at full hardware concurrency (threads = 0 lets the engine
-    // resolve it) so the ledger records the host's best-case scaling even
-    // when the fixed counts over- or under-subscribe the machine. Sizes
-    // above --engine-cap skip these: even the digest mode still *examines*
-    // every ordered pair, which at 50k regions is 2.5·10^9 Compute-CDR
-    // prefilter probes.
-    if (n <= engine_cap) {
-      std::vector<int> engine_threads = {1};
-      engine_threads.insert(engine_threads.end(), thread_counts.begin(),
-                            thread_counts.end());
-      engine_threads.push_back(0);
-      for (int threads : engine_threads) {
-        EngineOptions options;
-        options.threads = threads;
-        options.use_prefilter = true;
-        RunRecord r;
-        r.workload = name;
-        r.regions = n;
-        r.mode = threads == 1 ? "engine_prefilter"
-                 : threads == 0 ? "engine_parallel_hw"
-                                : "engine_parallel";
-        r.threads = threads == 0 ? ThreadPool::ResolveThreadCount(0) : threads;
-        r.prefilter = true;
-        r.pairs = pairs;
-        EngineStats stats;
-        time_engine_best(options, &r, &stats);
-        r.prefiltered_pairs = stats.prefiltered_pairs;
-        r.crossing_pairs = stats.crossing_pairs;
-        if (serial_ms > 0) r.speedup_vs_serial = serial_ms / r.ms;
-        records.push_back(r);
-        PrintRecord(r);
-      }
-    }
-
-    // Sweep join: the only mode that never enumerates the quadratic pair
-    // space, so it runs at every size. One serial row and one at full
-    // hardware concurrency (strip-parallel).
+    // Sweep join: never enumerates the quadratic pair space, so it runs at
+    // every size. One serial row and one at full hardware concurrency
+    // (strip-parallel). Best-of-`repeat` timing; counters are recorded over
+    // the last repetition only (each repetition is deterministic, so the
+    // windows are identical — summing them would break the accounting
+    // invariants).
     for (const int threads : {1, 0}) {
       EngineOptions options;
       options.threads = threads;

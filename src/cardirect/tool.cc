@@ -1,8 +1,12 @@
 #include "cardirect/tool.h"
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <unordered_map>
 
 #include "cardirect/constraint_file.h"
 #include "cardirect/query.h"
@@ -53,7 +57,9 @@ constexpr const char* kUsage =
     "                                       via the R-tree index\n"
     "  query <config.xml> <query>           evaluate a query, e.g.\n"
     "      '(a, b) | color(a) = red, color(b) = blue, a S:SW:W:NW:N:NE:E:SE b'\n"
-    "  validate <config.xml>                strict geometry validation\n"
+    "  validate <config.xml>                strict geometry validation; stored\n"
+    "                                       relations checked against the\n"
+    "                                       geometry\n"
     "  demo <out.xml>                       write a sample configuration\n"
     "  check <constraints.txt>              decide consistency of a\n"
     "                                       cardinal-direction constraint\n"
@@ -249,6 +255,57 @@ int CmdQuery(const std::string& path, const std::string& query_text,
   return 0;
 }
 
+// Checks the loaded <Relation> records against the relations the geometry
+// gives (ComputeRelationStore): prints one STALE line per disagreeing
+// record, in file order, and returns whether all agree. Records are
+// grouped by primary so each row of the store is walked once.
+Result<bool> CheckStoredRelations(const Configuration& config,
+                                  std::ostream& out) {
+  const std::vector<RelationRecord>& records = config.relations();
+  if (records.empty()) return true;
+  const std::vector<AnnotatedRegion>& regions = config.regions();
+  std::vector<const Region*> geometry;
+  std::unordered_map<std::string, uint32_t> index;
+  geometry.reserve(regions.size());
+  for (const AnnotatedRegion& region : regions) {
+    index.emplace(region.id, static_cast<uint32_t>(geometry.size()));
+    geometry.push_back(&region.geometry);
+  }
+  CARDIR_ASSIGN_OR_RETURN(RelationStore store, ComputeRelationStore(geometry));
+
+  // (primary, reference, record index), sorted by pair.
+  std::vector<std::array<uint32_t, 3>> order;
+  order.reserve(records.size());
+  for (size_t k = 0; k < records.size(); ++k) {
+    order.push_back({index.at(records[k].primary_id),
+                     index.at(records[k].reference_id),
+                     static_cast<uint32_t>(k)});
+  }
+  std::sort(order.begin(), order.end());
+  std::vector<CardinalRelation> computed(records.size());
+  for (size_t k = 0; k < order.size();) {
+    const uint32_t row = order[k][0];
+    store.ForEachInRow(row, [&](size_t j, const CardinalRelation& relation) {
+      for (; k < order.size() && order[k][0] == row && order[k][1] <= j; ++k) {
+        if (order[k][1] == j) computed[order[k][2]] = relation;
+      }
+    });
+    // A record the row walk never reached (a self-pair) keeps the empty
+    // relation and reports as stale.
+    while (k < order.size() && order[k][0] == row) ++k;
+  }
+  bool all_agree = true;
+  for (size_t k = 0; k < records.size(); ++k) {
+    if (computed[k] == records[k].relation) continue;
+    out << "STALE: " << records[k].primary_id << " "
+        << records[k].reference_id << " stored "
+        << records[k].relation.ToString() << ", geometry gives "
+        << computed[k].ToString() << "\n";
+    all_agree = false;
+  }
+  return all_agree;
+}
+
 int CmdValidate(const std::string& path, std::ostream& out,
                 std::ostream& err) {
   Result<Configuration> config = LoadConfiguration(path);
@@ -263,7 +320,9 @@ int CmdValidate(const std::string& path, std::ostream& out,
       all_ok = false;
     }
   }
-  return all_ok ? 0 : 1;
+  const Result<bool> relations_agree = CheckStoredRelations(*config, out);
+  if (!relations_agree.ok()) return Fail(err, relations_agree.status());
+  return all_ok && *relations_agree ? 0 : 1;
 }
 
 int CmdDemo(const std::string& path, std::ostream& out, std::ostream& err) {

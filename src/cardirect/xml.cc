@@ -1,6 +1,8 @@
 #include "cardirect/xml.h"
 
+#include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 
@@ -364,6 +366,10 @@ Result<Configuration> ConfigurationFromXml(std::string_view xml) {
     CARDIR_RETURN_IF_ERROR(configuration.AddRegion(std::move(region)));
   }
   std::vector<RelationRecord> records;
+  // Region indices of each record's (primary, reference), packed into one
+  // key so a single sort after the loop finds repeated pairs.
+  std::vector<uint64_t> pair_keys;
+  const AnnotatedRegion* const first_region = configuration.regions().data();
   for (const XmlNode* relation_node : root.ChildrenNamed("Relation")) {
     const std::string* type = relation_node->FindAttribute("type");
     const std::string* primary = relation_node->FindAttribute("primary");
@@ -372,13 +378,31 @@ Result<Configuration> ConfigurationFromXml(std::string_view xml) {
       return Status::ParseError(
           "<Relation> requires type, primary and reference attributes");
     }
-    if (configuration.FindRegion(*primary) == nullptr ||
-        configuration.FindRegion(*reference) == nullptr) {
+    const AnnotatedRegion* primary_region = configuration.FindRegion(*primary);
+    const AnnotatedRegion* reference_region =
+        configuration.FindRegion(*reference);
+    if (primary_region == nullptr || reference_region == nullptr) {
       return Status::ParseError("<Relation> references unknown region id");
     }
     CARDIR_ASSIGN_OR_RETURN(CardinalRelation relation,
                             CardinalRelation::Parse(*type));
+    if (primary_region == reference_region) {
+      return Status::ParseError("<Relation> relates region '" + *primary +
+                                "' to itself");
+    }
+    pair_keys.push_back(
+        static_cast<uint64_t>(primary_region - first_region) << 32 |
+        static_cast<uint64_t>(reference_region - first_region));
     records.push_back({*primary, *reference, relation});
+  }
+  std::sort(pair_keys.begin(), pair_keys.end());
+  const auto repeated =
+      std::adjacent_find(pair_keys.begin(), pair_keys.end());
+  if (repeated != pair_keys.end()) {
+    const AnnotatedRegion& primary = first_region[*repeated >> 32];
+    const AnnotatedRegion& reference = first_region[*repeated & 0xffffffffu];
+    return Status::ParseError("<Relation> repeats the pair ('" + primary.id +
+                              "', '" + reference.id + "')");
   }
   configuration.SetRelations(std::move(records));
   return configuration;

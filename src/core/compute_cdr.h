@@ -60,10 +60,10 @@ struct CdrMetricsDelta {
 
 /// Reusable working memory for Compute-CDR and Compute-CDR%. A fresh run's
 /// only heap allocation is the SoA sub-edge scratch the edge splitter
-/// appends into (core/edge_soa.h); a caller computing many pairs (the batch
-/// engine's phase-2 crossing chunks via `WorkerScratch`, the benchmark
-/// loops) keeps one CdrScratch per thread and hands it to every call, so
-/// the lane capacity is paid once instead of per pair.
+/// appends into (core/edge_soa.h); a caller computing many pairs (the sweep
+/// join's strips via `SweepScratch`, the delta engine, the benchmark loops)
+/// keeps one CdrScratch per thread and hands it to every call, so the lane
+/// capacity is paid once instead of per pair.
 struct CdrScratch {
   EdgeSoA soa;
 };

@@ -12,8 +12,8 @@
 //    reusable `EdgeSoA` scratch — no per-piece structs, one grow-only
 //    capacity check per polygon;
 //  * `ClassifySubEdgesSoA` then classifies every lane in two branch-free
-//    passes (column, row) against the reference bands, the same arithmetic
-//    select idiom as the engine's interval kernel, writing a 4-bit
+//    passes (column, row) against the reference bands, an arithmetic
+//    select over the interval-class predicates, writing a 4-bit
 //    `(column << 2) | row` code per lane. The passes carry the
 //    interior-side tie-breaks of the scalar classifier (sub-edges lying
 //    exactly ON an mbb line resolve by the ring direction), so the codes
@@ -44,8 +44,8 @@ namespace cardir {
 /// `count` is the number of live lanes (the vectors are capacity, not
 /// size-authoritative — `Clear` keeps the allocations). One EdgeSoA per
 /// worker thread amortises the buffers across every pair the worker
-/// computes (the engine's phase-2 crossing chunks hand one through
-/// `WorkerScratch`/`CdrScratch`).
+/// computes (the sweep join's strips hand one through
+/// `SweepScratch`/`CdrScratch`).
 struct EdgeSoA {
   EdgeSoA() = default;
   // Move-only: the lane buffers are charged to the mem.edge_soa telemetry

@@ -6,11 +6,6 @@
 #include "core/tile.h"
 #include "engine/prefilter.h"
 #include "util/string_util.h"
-// Runtime ISA dispatch for the batched entry points (CARDIR_KERNEL_CLONES,
-// shared with the core SoA kernels): multi-versioned for AVX2 with GNU
-// ifunc dispatch on x86-64 GCC, compiled out under the sanitizers and on
-// non-GCC/non-x86 toolchains. See util/target_clones.h for the rationale.
-#include "util/target_clones.h"
 
 namespace cardir {
 namespace {
@@ -78,104 +73,10 @@ static_assert(ClassPairTableAgreesWithTileAt(),
               "engine/interval_kernel: class-pair relation table disagrees "
               "with core/tile.h's TileAt");
 
-// The branch-free arithmetic select of the classification passes, as a
-// constexpr scalar model: cls = 2*high + mid, or kCross when no predicate
-// (or two predicates) holds. ClassifyAxis and ClassifyBandsAxis both
-// evaluate exactly these comparisons (with operand roles swapped in the
-// transposed kernel), so proving the model equal to the documented cascade
-// covers both orientations of the batched kernel.
-constexpr IntervalClass BranchFreeClassModel(double lo, double hi, double m1,
-                                             double m2) {
-  const unsigned low = static_cast<unsigned>(hi <= m1);
-  const unsigned high = static_cast<unsigned>(lo >= m2);
-  const unsigned mid = static_cast<unsigned>(lo >= m1) &
-                       static_cast<unsigned>(hi <= m2);
-  const unsigned cls = 2u * high + mid + 3u * (1u - (low | high | mid));
-  return static_cast<IntervalClass>(cls);
-}
-
-// Exhaustive sweep of the same coordinate grid the runtime validation uses
-// (both reference lines hit exactly, strictly-inside/outside and straddling
-// extents): on every non-degenerate extent against the non-degenerate band
-// the branch-free select must agree with the reference cascade
-// ClassifyIntervalClass. Degenerate extents are excluded exactly as in the
-// kernel, where they carry cross_override.
-constexpr bool BranchFreeSelectMatchesCascade() {
-  constexpr double kCoords[] = {4, 8, 10, 12, 15, 18, 20, 24, 28};
-  constexpr double kM1 = 10;
-  constexpr double kM2 = 20;
-  for (double lo : kCoords) {
-    for (double hi : kCoords) {
-      if (lo >= hi) continue;  // Degenerate/invalid extents excluded.
-      IntervalClass expected = IntervalClass::kCross;
-      if (hi <= kM1) {
-        expected = IntervalClass::kLow;
-      } else if (lo >= kM2) {
-        expected = IntervalClass::kHigh;
-      } else if (lo >= kM1 && hi <= kM2) {
-        expected = IntervalClass::kMid;
-      }
-      if (BranchFreeClassModel(lo, hi, kM1, kM2) != expected) return false;
-    }
-  }
-  return true;
-}
-static_assert(BranchFreeSelectMatchesCascade(),
-              "engine/interval_kernel: branch-free class select disagrees "
-              "with the ClassifyIntervalClass cascade");
 // --------------------------------------------------------------------------
 
-// One branch-free axis pass: codes[i] op= (class of [lo[i], hi[i]] within
-// [m1, m2]) << shift. With a non-degenerate band (m1 < m2) and a
-// non-degenerate extent (lo < hi) at most one of low/mid/high holds, so the
-// arithmetic select is exact; degenerate extents may satisfy two predicates
-// at once, but those boxes carry cross_override and the garbage class is
-// OR-ed away. The y pass (kShift == 0) folds the override in (`over`
-// non-null there, unused in the x pass) so each row takes exactly two
-// passes over the code bytes.
-template <int kShift>
-void ClassifyAxis(const double* lo, const double* hi, size_t n, double m1,
-                  double m2, const uint8_t* over, uint8_t* codes) {
-  for (size_t i = 0; i < n; ++i) {
-    const unsigned low = static_cast<unsigned>(hi[i] <= m1);
-    const unsigned high = static_cast<unsigned>(lo[i] >= m2);
-    const unsigned mid = static_cast<unsigned>(lo[i] >= m1) &
-                         static_cast<unsigned>(hi[i] <= m2);
-    const unsigned cls = 2u * high + mid + 3u * (1u - (low | high | mid));
-    if constexpr (kShift == 0) {
-      codes[i] = static_cast<uint8_t>(codes[i] | cls | over[i]);
-    } else {
-      codes[i] = static_cast<uint8_t>(cls << kShift);
-    }
-  }
-}
-
-// Transposed axis pass: a scalar extent [lo, hi] against per-element bands
-// [m1[j], m2[j]]. Same comparisons as ClassifyAxis with the operand roles
-// swapped; the same degenerate-overlap argument applies (a band with
-// m1[j] == m2[j] can satisfy two predicates, but such boxes carry
-// cross_override and the garbage class is OR-ed away).
-template <int kShift>
-void ClassifyBandsAxis(double lo, double hi, const double* m1,
-                       const double* m2, size_t n, const uint8_t* over,
-                       uint8_t* codes) {
-  for (size_t j = 0; j < n; ++j) {
-    const unsigned low = static_cast<unsigned>(hi <= m1[j]);
-    const unsigned high = static_cast<unsigned>(lo >= m2[j]);
-    const unsigned mid = static_cast<unsigned>(lo >= m1[j]) &
-                         static_cast<unsigned>(hi <= m2[j]);
-    const unsigned cls = 2u * high + mid + 3u * (1u - (low | high | mid));
-    if constexpr (kShift == 0) {
-      codes[j] = static_cast<uint8_t>(codes[j] | cls | over[j]);
-    } else {
-      codes[j] = static_cast<uint8_t>(cls << kShift);
-    }
-  }
-}
-
 Status ValidateClassKernel() {
-  const Box reference(10, 10, 20, 20);
-  // Coordinate grid hitting both reference lines of each axis exactly, plus
+  // Coordinate grid hitting both lines of every band exactly, plus
   // strictly-inside, strictly-outside and straddling positions.
   const double coords[] = {4, 8, 10, 12, 15, 18, 20, 24, 28};
   const size_t m = sizeof(coords) / sizeof(coords[0]);
@@ -189,65 +90,45 @@ Status ValidateClassKernel() {
       }
     }
   }
+  // Every 7th box acts as the reference (the stride keeps the canonical
+  // band [10,20]x[10,20], box #966) against every box as the primary,
+  // through the profile exactly as the store reads it.
   const RegionProfile profile = RegionProfile::FromBoxes(boxes);
-  std::vector<uint8_t> codes(boxes.size());
-  ClassifyAgainstReference(profile, reference, codes.data());
   const std::array<uint16_t, kNumClassPairCodes>& table =
       ClassPairRelationTable();
-  for (size_t i = 0; i < boxes.size(); ++i) {
-    const uint16_t mask = table[codes[i]];
-    const std::optional<CardinalRelation> oracle =
-        MbbPrefilterRelation(boxes[i], reference);
-    if (oracle.has_value() != (mask != 0) ||
-        (oracle.has_value() && oracle->mask() != mask)) {
-      return Status::Internal(StrFormat(
-          "interval kernel disagrees with MbbPrefilterRelation on box "
-          "[%g,%g]x[%g,%g]: code %u mask %u vs oracle %s",
-          boxes[i].min_x(), boxes[i].max_x(), boxes[i].min_y(),
-          boxes[i].max_y(), static_cast<unsigned>(codes[i]),
-          static_cast<unsigned>(mask),
-          oracle.has_value() ? oracle->ToString().c_str() : "(none)"));
-    }
-    // The Allen coarsening must agree with the class codes wherever the
-    // Allen classification is defined (non-degenerate extents).
-    if (!boxes[i].IsDegenerate() && !boxes[i].IsEmpty()) {
-      const IntervalClass x_allen = IntervalClassOfAllen(
-          ClassifyIntervals(boxes[i].min_x(), boxes[i].max_x(),
-                            reference.min_x(), reference.max_x()));
-      const IntervalClass y_allen = IntervalClassOfAllen(
-          ClassifyIntervals(boxes[i].min_y(), boxes[i].max_y(),
-                            reference.min_y(), reference.max_y()));
-      if (codes[i] != ((static_cast<uint8_t>(x_allen) << 2) |
-                       static_cast<uint8_t>(y_allen))) {
-        return Status::Internal(StrFormat(
-            "interval kernel disagrees with the Allen coarsening on box "
-            "[%g,%g]x[%g,%g]: code %u vs (%d, %d)",
-            boxes[i].min_x(), boxes[i].max_x(), boxes[i].min_y(),
-            boxes[i].max_y(), static_cast<unsigned>(codes[i]),
-            static_cast<int>(x_allen), static_cast<int>(y_allen)));
-      }
-    }
-  }
-  // Transposed kernel: a stride-subsample of the boxes acts as the primary
-  // against every box taken as the reference band; each code must agree
-  // with the pairwise oracle.
-  std::vector<uint8_t> band_codes(boxes.size());
-  for (size_t p = 0; p < boxes.size(); p += 31) {
-    if (boxes[p].IsDegenerate() || boxes[p].IsEmpty()) continue;
-    ClassifyAgainstBands(profile, boxes[p], band_codes.data());
-    for (size_t j = 0; j < boxes.size(); ++j) {
-      const uint16_t mask = table[band_codes[j]];
+  for (size_t r = 0; r < boxes.size(); r += 7) {
+    const Box& reference = boxes[r];
+    for (size_t p = 0; p < boxes.size(); ++p) {
+      const uint8_t code = profile.ClassPairCode(p, r);
+      const uint16_t mask = table[code];
       const std::optional<CardinalRelation> oracle =
-          MbbPrefilterRelation(boxes[p], boxes[j]);
+          MbbPrefilterRelation(boxes[p], reference);
       if (oracle.has_value() != (mask != 0) ||
           (oracle.has_value() && oracle->mask() != mask)) {
         return Status::Internal(StrFormat(
-            "transposed interval kernel disagrees with "
-            "MbbPrefilterRelation on primary #%zu vs reference #%zu: "
-            "code %u mask %u vs oracle %s",
-            p, j, static_cast<unsigned>(band_codes[j]),
-            static_cast<unsigned>(mask),
+            "class-pair code disagrees with MbbPrefilterRelation on primary "
+            "#%zu vs reference #%zu: code %u mask %u vs oracle %s",
+            p, r, static_cast<unsigned>(code), static_cast<unsigned>(mask),
             oracle.has_value() ? oracle->ToString().c_str() : "(none)"));
+      }
+      // The Allen coarsening must agree with the class codes wherever the
+      // Allen classification is defined (non-degenerate extents).
+      if (profile.cross_override[p] != 0 || profile.cross_override[r] != 0) {
+        continue;
+      }
+      const IntervalClass x_allen = IntervalClassOfAllen(
+          ClassifyIntervals(boxes[p].min_x(), boxes[p].max_x(),
+                            reference.min_x(), reference.max_x()));
+      const IntervalClass y_allen = IntervalClassOfAllen(
+          ClassifyIntervals(boxes[p].min_y(), boxes[p].max_y(),
+                            reference.min_y(), reference.max_y()));
+      if (code != ((static_cast<uint8_t>(x_allen) << 2) |
+                   static_cast<uint8_t>(y_allen))) {
+        return Status::Internal(StrFormat(
+            "class-pair code disagrees with the Allen coarsening on primary "
+            "#%zu vs reference #%zu: code %u vs (%d, %d)",
+            p, r, static_cast<unsigned>(code), static_cast<int>(x_allen),
+            static_cast<int>(y_allen)));
       }
     }
   }
@@ -299,28 +180,6 @@ IntervalClass ClassifyIntervalClass(double lo, double hi, double m1,
   if (lo >= m2) return IntervalClass::kHigh;
   if (lo >= m1 && hi <= m2) return IntervalClass::kMid;
   return IntervalClass::kCross;
-}
-
-CARDIR_KERNEL_CLONES
-void ClassifyAgainstReference(const RegionProfile& profile,
-                              const Box& reference, uint8_t* codes) {
-  const size_t n = profile.size();
-  ClassifyAxis<2>(profile.min_x.data(), profile.max_x.data(), n,
-                  reference.min_x(), reference.max_x(), nullptr, codes);
-  ClassifyAxis<0>(profile.min_y.data(), profile.max_y.data(), n,
-                  reference.min_y(), reference.max_y(),
-                  profile.cross_override.data(), codes);
-}
-
-CARDIR_KERNEL_CLONES
-void ClassifyAgainstBands(const RegionProfile& profile, const Box& primary,
-                          uint8_t* codes) {
-  const size_t n = profile.size();
-  ClassifyBandsAxis<2>(primary.min_x(), primary.max_x(), profile.min_x.data(),
-                       profile.max_x.data(), n, nullptr, codes);
-  ClassifyBandsAxis<0>(primary.min_y(), primary.max_y(), profile.min_y.data(),
-                       profile.max_y.data(), n,
-                       profile.cross_override.data(), codes);
 }
 
 IntervalClass IntervalClassOfAllen(AllenRelation r) {

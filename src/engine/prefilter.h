@@ -1,4 +1,5 @@
-// MBB-derived relation bounds for the batch engine's planner.
+// MBB-derived relation bounds: the semantics reference of the interval
+// kernel (engine/interval_kernel.h) the sweep join classifies with.
 //
 // When the primary region's mbb fits inside a single column band and a
 // single row band of the reference region's mbb, every point of the primary

@@ -1,6 +1,6 @@
 // RelationStore: the sweep engine's sub-quadratic all-pairs result type.
 //
-// The dense PairMatrix stores 2 bytes for every one of the n·(n−1) ordered
+// A dense matrix would store 2 bytes for every one of the n·(n−1) ordered
 // pairs — 50 MB at n = 5000 — even though on map-like workloads the vast
 // majority of relations are *implicit*: determined entirely by the two
 // boxes' per-axis interval classes (engine/interval_kernel.h). The store
@@ -8,9 +8,9 @@
 //
 //   * the SoA box profile of the run's regions (4 doubles + 1 byte each),
 //     from which any implicit pair's relation is recomputed in O(1) — two
-//     scalar interval classifications and one 16-entry table lookup, the
-//     exact kernel the engine's classify phase uses, so the recomputed
-//     relation is bit-identical to what the dense engine would have stored;
+//     scalar interval classifications and one 16-entry table lookup
+//     (RegionProfile::ClassPairCode), the same code the sweep join used to
+//     decide the pair was implicit;
 //   * an *explicit-pair overlay*: the packed relation masks of exactly the
 //     pairs that are not box-resolvable (either axis class kCross, or a
 //     degenerate/empty box), laid out row-major with ascending reference
@@ -24,7 +24,7 @@
 // row iteration walks the row left to right consuming overlay masks at the
 // non-resolvable positions, and (i, j) lookup ranks j among row i's
 // non-resolvable columns. On the map workloads the overlay holds ~2% of
-// the pairs, putting the whole store two orders of magnitude under the
+// the pairs, putting the whole store two orders of magnitude under a
 // dense matrix (see DESIGN.md §3.19 and the mem.relation_store telemetry
 // in BENCH_engine.json).
 //
@@ -60,7 +60,6 @@
 #include <vector>
 
 #include "core/cardinal_relation.h"
-#include "engine/batch_engine.h"
 #include "engine/interval_kernel.h"
 #include "geometry/region.h"
 #include "obs/memstats.h"
@@ -69,9 +68,10 @@
 namespace cardir {
 
 /// Mixes one relation-matrix entry into a 64-bit value. Pair digests are
-/// *summed*, so a total over any enumeration order is comparable: the batch
-/// engine's digest mode and RelationStore::Digest use this same mix, and
-/// two equal digests mean bit-identical matrices (modulo hash collisions).
+/// *summed*, so a total over any enumeration order is comparable:
+/// RelationStore::Digest and the tests' serial Compute-CDR reference
+/// (tests/properties/reference_relations.h) use this same mix, and two
+/// equal digests mean bit-identical matrices (modulo hash collisions).
 inline uint64_t MixPairDigest(size_t primary, size_t reference,
                               uint16_t mask) {
   uint64_t z = (static_cast<uint64_t>(primary) << 40) ^
@@ -83,13 +83,31 @@ inline uint64_t MixPairDigest(size_t primary, size_t reference,
 
 class RelationStore;
 
+/// Tuning knobs for ComputeRelationStore.
+struct EngineOptions {
+  /// Total threads, including the calling thread. 0 = all hardware threads.
+  int threads = 1;
+  /// Rows per sweep strip (the work-stealing chunk); 0 picks a size
+  /// automatically.
+  size_t chunk_size = 0;
+};
+
+/// Instrumentation of one ComputeRelationStore run.
+struct EngineStats {
+  size_t total_pairs = 0;        ///< n·(n−1) ordered pairs.
+  size_t prefiltered_pairs = 0;  ///< Resolved implicitly from the mbbs.
+  size_t computed_pairs = 0;     ///< Explicit: resolved from the geometry.
+  size_t crossing_pairs = 0;     ///< Explicit pairs whose mbbs properly cross.
+  int threads_used = 1;
+};
+
 /// Computes the all-pairs relation store of `regions` with the plane-sweep
 /// spatial join (engine/sweep_join.cc): only pairs whose boxes interact on
 /// an axis are ever examined, every other pair is resolved implicitly from
-/// its interval classes. The result is bit-identical to ComputeAllPairs for
-/// every thread count (the oracle tests hold the two against each other).
-/// `options.use_prefilter` is ignored — implicit resolution *is* the
-/// prefilter; `options.chunk_size` is the sweep strip height in rows.
+/// its interval classes. Every stored relation equals the serial Compute-CDR
+/// loop's, for every thread count and chunk size (the oracle tests hold the
+/// two against each other). Fails with kInvalidArgument when a region fails
+/// Region::Validate().
 Result<RelationStore> ComputeRelationStore(
     const std::vector<const Region*>& regions,
     const EngineOptions& options = {}, EngineStats* stats = nullptr);
@@ -179,7 +197,7 @@ class RelationStore {
   CardinalRelation Relation(size_t primary, size_t reference) const;
 
   /// Invokes `fn(reference, relation)` for every reference ≠ primary in
-  /// ascending reference order — the canonical row order of PairMatrix.
+  /// ascending reference order.
   template <typename Fn>
   void ForEachInRow(size_t primary, Fn&& fn) const {
     const size_t n = profile_.size();
@@ -251,7 +269,8 @@ class RelationStore {
   }
 
   /// Invokes `fn(primary, reference, relation)` over all ordered pairs in
-  /// canonical row-major order (PairMatrix's iteration order).
+  /// canonical row-major order: primary 0 first (references ascending),
+  /// then primary 1, and so on — the serial nested loop's order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     const size_t n = profile_.size();
@@ -263,8 +282,10 @@ class RelationStore {
     }
   }
 
-  /// Order-independent digest over all pairs; equals the batch engine's
-  /// ComputeAllPairsDigest on the same regions.
+  /// Order-independent digest over all pairs: the sum of MixPairDigest
+  /// over (primary, reference, mask). Equals the serial Compute-CDR
+  /// reference digest on the same regions (ReferenceDigest in
+  /// tests/properties/reference_relations.h).
   uint64_t Digest() const;
 
   /// True iff neither 2-bit axis class of `code` is kCross (== 3).
@@ -377,21 +398,11 @@ class RelationStore {
     }
   };
 
-  // The class-pair code of (i, j) — (x class << 2) | y class with the
-  // degenerate-box override OR-ed in — computed from the boxes exactly as
-  // the engine's classify phase computes it (ValidateClassKernelOnce proves
-  // scalar and batched agree), so implicit relations are bit-identical to
-  // the dense engine's.
+  // The class-pair code of (i, j) — the code the sweep join classified the
+  // pair with, so the explicit set read back is exactly the set emitted
+  // (ValidateClassKernelOnce checks it against MbbPrefilterRelation).
   uint8_t ClassPairCode(size_t i, size_t j) const {
-    const uint8_t cx = static_cast<uint8_t>(ClassifyIntervalClass(
-        profile_.min_x[i], profile_.max_x[i], profile_.min_x[j],
-        profile_.max_x[j]));
-    const uint8_t cy = static_cast<uint8_t>(ClassifyIntervalClass(
-        profile_.min_y[i], profile_.max_y[i], profile_.min_y[j],
-        profile_.max_y[j]));
-    return static_cast<uint8_t>(static_cast<uint8_t>(cx << 2 | cy) |
-                                profile_.cross_override[i] |
-                                profile_.cross_override[j]);
+    return profile_.ClassPairCode(i, j);
   }
 
   RegionProfile profile_;

@@ -1,6 +1,6 @@
 // Memory telemetry: live/peak byte gauges for the structures that own
-// real memory (PairMatrix, EdgeSoA lanes, worker scratch, the R-tree, XML
-// buffers), plus a process-wide high-water total and Linux RSS sampling.
+// real memory (the RelationStore, sweep scratch, EdgeSoA lanes, the R-tree,
+// XML buffers), plus a process-wide high-water total and Linux RSS sampling.
 //
 // Each instrumented owner charges a named arena. An arena is backed by two
 // registry gauges —

@@ -55,7 +55,6 @@ const char* KindName(uint16_t kind) {
     case RecordKind::kMark: return "mark";
     case RecordKind::kPhase: return "phase";
     case RecordKind::kChunk: return "chunk";
-    case RecordKind::kDefer: return "defer";
     case RecordKind::kLog: return "log";
     case RecordKind::kSweep: return "sweep";
     case RecordKind::kDelta: return "delta";

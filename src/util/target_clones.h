@@ -1,5 +1,5 @@
-// Runtime ISA dispatch for batched kernels (shared by the engine's
-// interval-classification kernel and core's sub-edge classification).
+// Runtime ISA dispatch for batched kernels (core's sub-edge split and
+// classification passes).
 //
 // The hot kernels are pure streaming arithmetic that vectorizes ~8x wider
 // under AVX2, but the library targets the baseline x86-64 ABI; function

@@ -68,10 +68,10 @@ TEST(AnalyzerFixtureTest, CorpusFindingsAreExact) {
   const std::map<std::string, int> expected = {
       {"unchecked-result", 2},  {"scratch-escape", 4},
       {"float-eq", 2},          {"obs-macro-side-effect", 5},
-      {"lock-across-compute", 1},
+      {"lock-across-compute", 2},
   };
   EXPECT_EQ(counts, expected);
-  EXPECT_EQ(result.findings.size(), 14u);
+  EXPECT_EQ(result.findings.size(), 15u);
   // Every finding must come from a *_bad fixture — the *_good twins (and
   // the annotated line in float_eq_good.cc) must stay silent.
   for (const std::string& line : result.findings) {
@@ -84,6 +84,7 @@ TEST(AnalyzerFixtureTest, GoodFixturesRunCleanInIsolation) {
        {"unchecked_result_good.cc", "core/float_eq_good.cc",
         "scratch_escape_good.cc", "obs_macro_good.cc",
         "engine/lock_across_compute_good.cc",
+        "engine/store_lock_across_compute_good.cc",
         "engine/sweep_scratch_escape_good.cc",
         "engine/delta_scratch_escape_good.cc"}) {
     const RunResult result = RunAnalyzer(Fixtures() + "/" + fixture);
@@ -108,7 +109,7 @@ TEST(AnalyzerFixtureTest, ChecksFlagRestrictsToNamedChecks) {
   EXPECT_EQ(result.exit_code, 1);
   const std::map<std::string, int> counts = CountByCheck(result);
   const std::map<std::string, int> expected = {{"float-eq", 2},
-                                               {"lock-across-compute", 1}};
+                                               {"lock-across-compute", 2}};
   EXPECT_EQ(counts, expected);
   EXPECT_EQ(RunAnalyzer("--checks no-such-check --src " + Fixtures()).exit_code,
             2);

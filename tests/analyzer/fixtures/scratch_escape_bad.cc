@@ -3,11 +3,11 @@
 namespace cardir {
 
 void Bad(ThreadPool& pool, TaskQueue& tasks) {
-  WorkerScratch scratch;
+  CdrScratch scratch;
   // BAD: explicit by-reference capture into an async submission.
   pool.Submit([&scratch] { Fill(scratch); });
 
-  CdrScratch cdr;
+  EdgeSoA cdr;
   // BAD: default-& capture, body touches the scratch object.
   tasks.push_back([&] { Fill(cdr); });
 }

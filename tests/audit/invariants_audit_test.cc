@@ -11,11 +11,13 @@
 #include "audit/invariants.h"
 #include "core/compute_cdr.h"
 #include "core/compute_cdr_percent.h"
-#include "engine/batch_engine.h"
+#include "engine/interval_kernel.h"
 #include "engine/prefilter.h"
+#include "engine/relation_store.h"
 #include "geometry/region.h"
 #include "gtest/gtest.h"
 #include "properties/random_instances.h"
+#include "properties/reference_relations.h"
 #include "util/random.h"
 
 namespace cardir {
@@ -76,24 +78,28 @@ TEST(InvariantsAuditTest, BoxResolvedPairsAgreeWithComputeCdr) {
 }
 
 TEST(InvariantsAuditTest, EngineRunTripsNoAuditSeam) {
-  // A full engine run (parallel, small chunks) across every seam — the
-  // pool's exact-cover audit, the per-pair prefilter audits, the sink
-  // coverage audit — must stay silent. In plain builds the seams are
-  // compiled out and the count is trivially zero.
+  // Sweep runs (1, 2 and 4 threads, automatic and single-row strips)
+  // across every seam — the audit-build class-kernel validation, the
+  // pool's exact-cover audit, the overlay emit cover, the per-pair
+  // agreement with the full algorithm — must stay silent and reproduce the
+  // serial Compute-CDR loop. In plain builds the seams are compiled out
+  // and the count is trivially zero.
   ResetAuditFailureCount();
+  ASSERT_TRUE(ValidateClassKernelOnce().ok());
   Rng rng(0xE7617E);
   std::vector<Region> regions;
   for (int i = 0; i < 20; ++i) regions.push_back(RandomTestRegion(&rng));
+  const std::vector<CardinalRelation> serial = ReferenceRelations(regions);
 
-  EngineOptions options;
-  options.threads = 4;
-  options.chunk_size = 1;
-  EngineStats stats;
-  const auto pairs = ComputeAllPairs(regions, options, &stats);
-  ASSERT_TRUE(pairs.ok()) << pairs.status();
-  EXPECT_EQ(pairs->size(), regions.size() * (regions.size() - 1));
-  EXPECT_EQ(stats.prefiltered_pairs + stats.computed_pairs,
-            stats.total_pairs);
+  for (const EngineOptions& options : OracleEngineOptions()) {
+    EngineStats stats;
+    const auto store = ComputeRelationStore(regions, options, &stats);
+    ASSERT_TRUE(store.ok()) << store.status();
+    EXPECT_EQ(stats.total_pairs, regions.size() * (regions.size() - 1));
+    EXPECT_EQ(stats.prefiltered_pairs + stats.computed_pairs,
+              stats.total_pairs);
+    ExpectStoreMatchesReference(*store, serial);
+  }
   EXPECT_EQ(AuditFailureCount(), 0u);
 }
 

@@ -94,6 +94,49 @@ TEST_F(ToolTest, ValidateAcceptsDemoConfiguration) {
   EXPECT_EQ(run.exit_code, 0) << run.err << run.out;
 }
 
+TEST_F(ToolTest, ValidateReportsStoredRelationsThatDisagreeWithGeometry) {
+  // Hand-edit the type of the demo's first stored relation.
+  std::string xml;
+  {
+    std::ifstream file(path_);
+    std::stringstream buffer;
+    buffer << file.rdbuf();
+    xml = buffer.str();
+  }
+  const std::string marker = "<Relation type=\"";
+  const size_t start = xml.find(marker);
+  ASSERT_NE(start, std::string::npos) << xml;
+  const size_t type_begin = start + marker.size();
+  const size_t type_end = xml.find('"', type_begin);
+  const std::string stored = xml.substr(type_begin, type_end - type_begin);
+  const std::string edited = stored == "NE" ? "SW" : "NE";
+  xml.replace(type_begin, type_end - type_begin, edited);
+  const size_t primary_begin = xml.find("primary=\"", start) + 9;
+  const std::string primary =
+      xml.substr(primary_begin, xml.find('"', primary_begin) - primary_begin);
+  const size_t reference_begin = xml.find("reference=\"", start) + 11;
+  const std::string reference = xml.substr(
+      reference_begin, xml.find('"', reference_begin) - reference_begin);
+  {
+    std::ofstream file(path_);
+    file << xml;
+  }
+
+  const ToolRun run = RunTool({"validate", path_});
+  EXPECT_EQ(run.exit_code, 1) << run.err;
+  EXPECT_NE(run.out.find("STALE: " + primary + " " + reference + " stored " +
+                         edited + ", geometry gives " + stored + "\n"),
+            std::string::npos)
+      << run.out;
+  // Exactly one of the six stored relations is stale.
+  size_t stale = 0;
+  for (size_t at = run.out.find("STALE:"); at != std::string::npos;
+       at = run.out.find("STALE:", at + 1)) {
+    ++stale;
+  }
+  EXPECT_EQ(stale, 1u);
+}
+
 TEST_F(ToolTest, MissingFileFails) {
   EXPECT_EQ(RunTool({"show", "/nonexistent/nope.xml"}).exit_code, 1);
 }

@@ -168,6 +168,34 @@ TEST(ConfigurationXmlTest, RejectsBadConfigurations) {
           "y=\"0\"/></Polygon></Region>"
           "<Relation type=\"QQ\" primary=\"r\" reference=\"r\"/></Image>")
           .ok());
+  // Relation of a region to itself.
+  const std::string two_regions =
+      "<Image><Region id=\"r\"><Polygon id=\"p\">"
+      "<Edge x=\"0\" y=\"0\"/><Edge x=\"0\" y=\"1\"/><Edge x=\"1\" "
+      "y=\"0\"/></Polygon></Region>"
+      "<Region id=\"s\"><Polygon id=\"q\">"
+      "<Edge x=\"5\" y=\"0\"/><Edge x=\"5\" y=\"1\"/><Edge x=\"6\" "
+      "y=\"0\"/></Polygon></Region>";
+  const Result<Configuration> self_pair = ConfigurationFromXml(
+      two_regions + "<Relation type=\"B\" primary=\"r\" reference=\"r\"/>"
+                    "</Image>");
+  ASSERT_FALSE(self_pair.ok());
+  EXPECT_EQ(self_pair.status().code(), StatusCode::kParseError);
+  // A second record for the same ordered pair, even with the same type.
+  const Result<Configuration> repeated = ConfigurationFromXml(
+      two_regions +
+      "<Relation type=\"W\" primary=\"r\" reference=\"s\"/>"
+      "<Relation type=\"E\" primary=\"s\" reference=\"r\"/>"
+      "<Relation type=\"W\" primary=\"r\" reference=\"s\"/></Image>");
+  ASSERT_FALSE(repeated.ok());
+  EXPECT_EQ(repeated.status().code(), StatusCode::kParseError);
+  // Both directions of a pair are distinct records and load fine.
+  const Result<Configuration> both_ways = ConfigurationFromXml(
+      two_regions +
+      "<Relation type=\"W\" primary=\"r\" reference=\"s\"/>"
+      "<Relation type=\"E\" primary=\"s\" reference=\"r\"/></Image>");
+  ASSERT_TRUE(both_ways.ok()) << both_ways.status();
+  EXPECT_EQ(both_ways->relations().size(), 2u);
   // Non-numeric coordinate.
   EXPECT_FALSE(ConfigurationFromXml(
                    "<Image><Region id=\"r\"><Polygon id=\"p\">"

@@ -4,8 +4,8 @@
 // lines, duplicate consecutive vertices, unit-thin slivers, shared
 // corners — plus degenerate (zero-width / zero-height / point) reference
 // bands fed to the unchecked entry points. Every combination is checked
-// three ways: the serial qualitative path vs the batch engine
-// (bit-identical masks across thread counts and prefilter settings), the
+// three ways: the serial qualitative path vs the sweep-join store
+// (bit-identical masks at 1, 2 and 4 threads and single-row strips), the
 // SoA percent path vs the scalar reference path, and the §3.2 refinement
 // guarantee that tiles holding positive area are tiles of the qualitative
 // relation (qual ⊇ quant).
@@ -17,10 +17,11 @@
 #include "core/compute_cdr.h"
 #include "core/compute_cdr_percent.h"
 #include "core/tile.h"
-#include "engine/batch_engine.h"
+#include "engine/relation_store.h"
 #include "geometry/box.h"
 #include "geometry/region.h"
 #include "gtest/gtest.h"
+#include "properties/reference_relations.h"
 
 namespace cardir {
 namespace {
@@ -115,33 +116,17 @@ TEST(DegenerateCorpusTest, EngineMatchesSerialOnTouchingGeometry) {
   }
 
   // Serial qualitative loop.
-  std::vector<uint16_t> serial;
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    for (size_t j = 0; j < corpus.size(); ++j) {
-      if (i == j) continue;
-      auto relation = ComputeCdr(corpus[i], corpus[j]);
-      ASSERT_TRUE(relation.ok()) << relation.status();
-      serial.push_back(relation->mask());
-    }
-  }
+  const std::vector<CardinalRelation> serial = ReferenceRelations(corpus);
 
-  for (int threads : {1, 2, 8}) {
-    for (bool prefilter : {true, false}) {
-      EngineOptions options;
-      options.threads = threads;
-      options.use_prefilter = prefilter;
-      EngineStats stats;
-      auto pairs = ComputeAllPairs(corpus, options, &stats);
-      ASSERT_TRUE(pairs.ok()) << pairs.status();
-      ASSERT_EQ(pairs->size(), serial.size());
-      EXPECT_EQ(stats.prefiltered_pairs + stats.computed_pairs,
-                stats.total_pairs);
-      for (size_t k = 0; k < serial.size(); ++k) {
-        EXPECT_EQ((*pairs)[k].relation.mask(), serial[k])
-            << "pair slot " << k << ", " << threads
-            << " threads, prefilter=" << prefilter;
-      }
-    }
+  for (const EngineOptions& options : OracleEngineOptions()) {
+    SCOPED_TRACE(testing::Message() << options.threads << " threads, chunk "
+                                    << options.chunk_size);
+    EngineStats stats;
+    auto store = ComputeRelationStore(corpus, options, &stats);
+    ASSERT_TRUE(store.ok()) << store.status();
+    EXPECT_EQ(stats.prefiltered_pairs + stats.computed_pairs,
+              stats.total_pairs);
+    ExpectStoreMatchesReference(*store, serial);
   }
 }
 

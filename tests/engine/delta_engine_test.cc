@@ -1,11 +1,12 @@
 // DeltaEngine correctness contract: after ANY mutation sequence, the
-// maintained store's Digest() is bit-identical to a fresh batch compute
-// over the same geometries. The oracle below drives 500+ randomized
+// maintained store's Digest() is bit-identical to the serial Compute-CDR
+// loop over the same geometries. The oracle below drives 500+ randomized
 // mutation scripts (mixed insert/move/delete over map-like, overlap-heavy
-// and free-form generators) and holds the delta store against
-// ComputeAllPairsDigest after every single mutation — so a dirty-set gap,
-// a stale patch, or a mis-ranked overlay cursor fails on the exact script
-// step that introduced it (seeds are in the trace).
+// and free-form generators, initial builds across the 1/2/4-thread oracle
+// grid) and holds the delta store against ReferenceDigest after every
+// single mutation — so a dirty-set gap, a stale patch, or a mis-ranked
+// overlay cursor fails on the exact script step that introduced it (seeds
+// are in the trace).
 
 #include <algorithm>
 #include <cmath>
@@ -14,13 +15,13 @@
 #include <utility>
 #include <vector>
 
-#include "engine/batch_engine.h"
 #include "engine/delta_engine.h"
 #include "engine/relation_store.h"
 #include "geometry/region.h"
 #include "gtest/gtest.h"
 #include "obs/memstats.h"
 #include "properties/random_instances.h"
+#include "properties/reference_relations.h"
 #include "util/random.h"
 #include "workload/region_gen.h"
 
@@ -86,14 +87,9 @@ Region RandomMutationRegion(Rng* rng) {
   }
 }
 
-uint64_t FreshDigest(const std::vector<Region>& regions) {
-  const auto digest = ComputeAllPairsDigest(regions);
-  EXPECT_TRUE(digest.ok()) << digest.status();
-  return digest.ok() ? *digest : 0;
-}
-
 // The headline oracle: 500 scripts, digest checked after every mutation.
-TEST(DeltaEngineProperty, MutationScriptsMatchFreshComputeOn500Scripts) {
+TEST(DeltaEngineProperty, MutationScriptsMatchSerialLoopOn500Scripts) {
+  const std::vector<EngineOptions> grid = OracleEngineOptions();
   for (uint64_t seed = 0; seed < 500; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(0xDE17A000u + seed);
@@ -111,9 +107,9 @@ TEST(DeltaEngineProperty, MutationScriptsMatchFreshComputeOn500Scripts) {
         break;
     }
 
-    auto engine = DeltaEngine::Build(mirror);
+    auto engine = DeltaEngine::Build(mirror, grid[(seed / 3) % grid.size()]);
     ASSERT_TRUE(engine.ok()) << engine.status();
-    ASSERT_EQ(engine.value().Digest(), FreshDigest(mirror));
+    ASSERT_EQ(engine.value().Digest(), ReferenceDigest(mirror));
 
     const int mutations = 3 + static_cast<int>(rng.NextBelow(6));
     for (int m = 0; m < mutations; ++m) {
@@ -147,7 +143,7 @@ TEST(DeltaEngineProperty, MutationScriptsMatchFreshComputeOn500Scripts) {
       }
       ASSERT_TRUE(applied.ok()) << applied.status();
       ASSERT_EQ(engine.value().regions(), mirror.size());
-      ASSERT_EQ(engine.value().Digest(), FreshDigest(mirror));
+      ASSERT_EQ(engine.value().Digest(), ReferenceDigest(mirror));
       // Touched lists both directions of every dirty pair, and the two
       // counters partition exactly that set.
       EXPECT_EQ(applied.value().touched.size() % 2, 0u);
@@ -197,7 +193,8 @@ TEST(DeltaEngineTest, TouchedCoversExplicitPairsOfMovedRegion) {
 // A long churn run on one engine: enough mutations to cycle the interval
 // indexes through several amortized rebuilds and the store through row
 // compactions, ending in a full pair-for-pair comparison (not just the
-// digest) against a fresh batch store.
+// digest) against a fresh sweep store, and a digest check against the
+// serial Compute-CDR loop.
 TEST(DeltaEngineTest, LongChurnEndsPairIdenticalToFreshStore) {
   Rng rng(0xC4C4u);
   std::vector<Region> mirror = SmallOverlapRegions(&rng, 90);
@@ -227,6 +224,7 @@ TEST(DeltaEngineTest, LongChurnEndsPairIdenticalToFreshStore) {
   const RelationStore& maintained = engine.value().store();
   ASSERT_EQ(maintained.regions(), fresh->regions());
   ASSERT_EQ(maintained.Digest(), fresh->Digest());
+  ASSERT_EQ(maintained.Digest(), ReferenceDigest(mirror));
   fresh->ForEach([&maintained](size_t i, size_t j,
                                const CardinalRelation& relation) {
     ASSERT_EQ(maintained.Relation(i, j).mask(), relation.mask())
@@ -249,7 +247,7 @@ TEST(DeltaEngineTest, AdoptedStoreNeedsNoRecompute) {
   Region moved = RandomMutationRegion(&rng);
   regions[7] = moved;
   ASSERT_TRUE(engine.Move(7, std::move(moved)).ok());
-  EXPECT_EQ(engine.Digest(), FreshDigest(regions));
+  EXPECT_EQ(engine.Digest(), ReferenceDigest(regions));
 }
 
 TEST(DeltaEngineTest, ErrorsLeaveEngineUntouched) {
@@ -285,13 +283,13 @@ TEST(DeltaEngineTest, GrowFromEmptyEngine) {
     mirror.push_back(region);
     const auto applied = engine.value().Insert(std::move(region));
     ASSERT_TRUE(applied.ok()) << applied.status();
-    ASSERT_EQ(engine.value().Digest(), FreshDigest(mirror));
+    ASSERT_EQ(engine.value().Digest(), ReferenceDigest(mirror));
   }
   while (!mirror.empty()) {
     const size_t id = rng.NextBelow(mirror.size());
     mirror.erase(mirror.begin() + static_cast<ptrdiff_t>(id));
     ASSERT_TRUE(engine.value().Remove(id).ok());
-    ASSERT_EQ(engine.value().Digest(), FreshDigest(mirror));
+    ASSERT_EQ(engine.value().Digest(), ReferenceDigest(mirror));
   }
   EXPECT_EQ(engine.value().regions(), 0u);
 }

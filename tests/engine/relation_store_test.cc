@@ -1,7 +1,7 @@
 // RelationStore / sweep-join tests: the store must round-trip exactly to
-// the dense PairMatrix — every pair, every instance class, every thread
-// count — and its footprint accounting must hold even on instances built
-// to defeat the implicit-run compression.
+// the serial Compute-CDR loop — every pair, every instance class, every
+// thread count and strip size — and its footprint accounting must hold
+// even on instances built to defeat the implicit-run compression.
 
 #include <algorithm>
 #include <cstdint>
@@ -9,13 +9,13 @@
 #include <utility>
 #include <vector>
 
-#include "engine/batch_engine.h"
 #include "engine/interval_kernel.h"
 #include "engine/relation_store.h"
 #include "geometry/region.h"
 #include "gtest/gtest.h"
 #include "obs/memstats.h"
 #include "properties/random_instances.h"
+#include "properties/reference_relations.h"
 #include "util/random.h"
 #include "workload/region_gen.h"
 
@@ -61,41 +61,21 @@ std::vector<Region> SmallOverlapRegions(Rng* rng, int count) {
   return regions;
 }
 
-// Asserts that `store` agrees with the dense matrix pair-for-pair, via all
-// three read paths (ForEach cursor iteration, per-row iteration, and spot
-// Lookup), and that the accounting between implicit and overlay pairs is
-// consistent.
-void ExpectMatchesDense(const RelationStore& store, const PairMatrix& dense,
-                        size_t n) {
+// Asserts that `store` agrees with the serial Compute-CDR loop pair for
+// pair via all three read paths (ForEach cursor iteration and digest, spot
+// Relation lookups), and that the accounting between implicit and overlay
+// pairs is consistent.
+void ExpectMatchesReference(const RelationStore& store,
+                            const std::vector<CardinalRelation>& reference,
+                            size_t n) {
   ASSERT_EQ(store.regions(), n);
-  ASSERT_EQ(store.pair_count(), dense.size());
+  ExpectStoreMatchesReference(store, reference);
 
-  const uint16_t* masks = dense.masks();
-  size_t flat = 0;
   size_t explicit_seen = 0;
-  store.ForEach([&](size_t i, size_t j, const CardinalRelation& relation) {
-    // Canonical row-major order, same as the dense matrix.
-    const size_t expect_i = flat / (n - 1);
-    const size_t rank = flat % (n - 1);
-    const size_t expect_j = rank < expect_i ? rank : rank + 1;
-    ASSERT_EQ(i, expect_i);
-    ASSERT_EQ(j, expect_j);
-    ASSERT_EQ(relation.mask(), masks[flat])
-        << "pair (" << i << ", " << j << ")";
+  store.ForEach([&](size_t i, size_t j, const CardinalRelation&) {
     if (store.IsExplicit(i, j)) ++explicit_seen;
-    ++flat;
   });
-  ASSERT_EQ(flat, dense.size());
   EXPECT_EQ(explicit_seen, store.overlay_pairs());
-
-  EXPECT_EQ(store.Digest(), [&] {
-    uint64_t digest = 0;
-    for (size_t k = 0; k < dense.size(); ++k) {
-      const PairRelation pair = dense[k];
-      digest += MixPairDigest(pair.primary, pair.reference, masks[k]);
-    }
-    return digest;
-  }());
 
   // Random-access lookups against a handful of rows (Lookup is O(n) per
   // overlay pair, so exhaustive lookup would square the test).
@@ -103,13 +83,14 @@ void ExpectMatchesDense(const RelationStore& store, const PairMatrix& dense,
     for (size_t j = 0; j < n; ++j) {
       if (i == j) continue;
       const size_t k = i * (n - 1) + (j < i ? j : j - 1);
-      ASSERT_EQ(store.Relation(i, j).mask(), masks[k])
+      ASSERT_EQ(store.Relation(i, j).mask(), reference[k].mask())
           << "lookup (" << i << ", " << j << ")";
     }
   }
 }
 
-TEST(RelationStoreProperty, RoundTripsToDenseMatrixOn1000RandomInstances) {
+TEST(RelationStoreProperty, RoundTripsToSerialLoopOn1000RandomInstances) {
+  const std::vector<EngineOptions> grid = OracleEngineOptions();
   for (uint64_t seed = 0; seed < 1000; ++seed) {
     Rng rng(0x5EED0000u + seed);
     const int n = 3 + static_cast<int>(rng.NextBelow(18));
@@ -128,13 +109,14 @@ TEST(RelationStoreProperty, RoundTripsToDenseMatrixOn1000RandomInstances) {
         break;
     }
 
-    auto dense = ComputeAllPairs(regions);
-    ASSERT_TRUE(dense.ok()) << dense.status();
+    // Every thread count and strip size of the oracle grid, in turn.
+    const EngineOptions& options = grid[(seed / 3) % grid.size()];
     EngineStats stats;
-    auto store = ComputeRelationStore(regions, EngineOptions(), &stats);
+    auto store = ComputeRelationStore(regions, options, &stats);
     ASSERT_TRUE(store.ok()) << store.status() << " (seed " << seed << ")";
 
-    ExpectMatchesDense(*store, *dense, regions.size());
+    ExpectMatchesReference(*store, ReferenceRelations(regions),
+                           regions.size());
     EXPECT_EQ(stats.total_pairs, store->pair_count());
     EXPECT_EQ(stats.computed_pairs, store->overlay_pairs());
     EXPECT_EQ(stats.prefiltered_pairs + stats.computed_pairs,
@@ -146,8 +128,8 @@ TEST(RelationStoreProperty, RoundTripsToDenseMatrixOn1000RandomInstances) {
 // pair crosses on both axes, so ~half of all pairs land in the overlay —
 // the worst case for the implicit-run compression. The store must stay
 // correct and its footprint must still be exactly the accounted bound
-// (overlay + profile + offsets), i.e. bounded by the dense matrix plus the
-// per-region overhead even with compression fully defeated.
+// (overlay + profile + offsets), i.e. bounded by a dense 2-byte matrix
+// plus the per-region overhead even with compression fully defeated.
 TEST(RelationStoreProperty, AdversarialAlternatingClassInstance) {
   std::vector<Region> regions;
   const int n = 64;
@@ -164,15 +146,13 @@ TEST(RelationStoreProperty, AdversarialAlternatingClassInstance) {
     }
   }
 
-  auto dense = ComputeAllPairs(regions);
-  ASSERT_TRUE(dense.ok()) << dense.status();
   auto store = ComputeRelationStore(regions);
   ASSERT_TRUE(store.ok()) << store.status();
 
   // Compression is actually defeated: a large share of pairs is explicit.
   EXPECT_GE(store->overlay_pairs(), store->pair_count() / 4);
 
-  ExpectMatchesDense(*store, *dense, regions.size());
+  ExpectMatchesReference(*store, ReferenceRelations(regions), regions.size());
 
   // Memory gate: footprint is exactly the accounted structures — 2 bytes
   // per overlay pair, the SoA profile, and one offset per row — so even
@@ -188,8 +168,8 @@ TEST(RelationStoreProperty, AdversarialAlternatingClassInstance) {
             store->pair_count() * sizeof(uint16_t));
 }
 
-// On map workloads the overlay must be a small fraction of the dense
-// matrix — the ISSUE gate is ≤10% of dense PairMatrix bytes.
+// On map workloads the store must be a small fraction of a dense 2-byte
+// matrix: ≤10% of its bytes.
 TEST(RelationStoreProperty, MapWorkloadStaysUnderTenPercentOfDense) {
   Rng rng(7u + 600u);
   const std::vector<Region> regions = SmallMapRegions(&rng, 600);
@@ -201,8 +181,9 @@ TEST(RelationStoreProperty, MapWorkloadStaysUnderTenPercentOfDense) {
 }
 
 // Sweep-strip concurrency: many single-row strips across 8 participants
-// must produce a bit-identical store (the tsan tier runs this under the
-// race detector; chunk_size 1 maximises strip interleaving).
+// must produce a bit-identical store, equal to the serial Compute-CDR loop
+// (the tsan tier runs this under the race detector; chunk_size 1
+// maximises strip interleaving).
 TEST(RelationStoreConcurrency, StripParallelismIsDeterministic) {
   Rng rng(0xCAFEu);
   std::vector<Region> regions = SmallOverlapRegions(&rng, 120);
@@ -214,6 +195,7 @@ TEST(RelationStoreConcurrency, StripParallelismIsDeterministic) {
   serial.threads = 1;
   auto expected = ComputeRelationStore(regions, serial);
   ASSERT_TRUE(expected.ok()) << expected.status();
+  EXPECT_EQ(expected->Digest(), ReferenceDigest(regions));
 
   for (size_t chunk : {size_t{1}, size_t{7}, size_t{0}}) {
     EngineOptions options;

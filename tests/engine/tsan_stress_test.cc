@@ -1,5 +1,5 @@
-// Contention stress for the work-stealing thread pool and the batch
-// engine, written for the ThreadSanitizer tier (ctest --preset tsan) but
+// Contention stress for the work-stealing thread pool, the sweep join and
+// the delta engine, written for the ThreadSanitizer tier (ctest --preset tsan) but
 // fast enough to ride in every engine run. Chunk size 1 maximises steal
 // traffic: every claim is a fetch-add race window, and with more
 // participants than cores each shard is drained mostly by thieves.
@@ -11,12 +11,13 @@
 
 #include "core/compute_cdr.h"
 #include "core/compute_cdr_percent.h"
-#include "engine/batch_engine.h"
 #include "engine/delta_engine.h"
+#include "engine/relation_store.h"
 #include "engine/thread_pool.h"
 #include "geometry/region.h"
 #include "gtest/gtest.h"
 #include "properties/random_instances.h"
+#include "properties/reference_relations.h"
 #include "util/random.h"
 
 namespace cardir {
@@ -42,9 +43,10 @@ TEST(TsanStressTest, StealHeavyParallelForRounds) {
 }
 
 TEST(TsanStressTest, UnsynchronisedSlotWritesArePublished) {
-  // The engine's merge writes each pair's record into a precomputed slot
-  // with no per-slot synchronisation; the pool's join must publish those
-  // plain writes to the caller. Model exactly that access pattern.
+  // The sweep's emit pass writes each explicit mask into a precomputed
+  // overlay slot with no per-slot synchronisation; the pool's join must
+  // publish those plain writes to the caller. Model exactly that access
+  // pattern.
   ThreadPool pool(8);
   const size_t count = 4'096;
   std::vector<uint64_t> slots(count, 0);
@@ -56,20 +58,29 @@ TEST(TsanStressTest, UnsynchronisedSlotWritesArePublished) {
   }
 }
 
+// Counts the pairs where `store` differs from the row-major reference
+// matrix (for use off the test thread, where ASSERTs cannot abort).
+size_t MismatchesAgainst(const RelationStore& store,
+                         const std::vector<CardinalRelation>& reference) {
+  if (store.pair_count() != reference.size()) return reference.size() + 1;
+  size_t k = 0;
+  size_t mismatches = 0;
+  store.ForEach([&](size_t, size_t, const CardinalRelation& relation) {
+    if (relation != reference[k++]) ++mismatches;
+  });
+  return mismatches;
+}
+
 TEST(TsanStressTest, ConcurrentEnginesShareInputRegions) {
-  // Several engines, each with its own parallel pool, hammer the same
+  // Several sweeps, each with its own parallel pool, hammer the same
   // (read-only) region vector concurrently — the CARDIRECT server-side
-  // usage pattern. Every run must reproduce the serial matrix.
+  // usage pattern. Every run must reproduce the serial Compute-CDR loop.
   Rng rng(0x57E55);
   std::vector<Region> regions;
   for (int i = 0; i < 16; ++i) regions.push_back(RandomTestRegion(&rng));
+  const std::vector<CardinalRelation> expected = ReferenceRelations(regions);
 
-  EngineOptions serial_options;
-  serial_options.threads = 1;
-  const auto expected = ComputeAllPairs(regions, serial_options);
-  ASSERT_TRUE(expected.ok()) << expected.status();
-
-  std::atomic<int> mismatches{0};
+  std::atomic<size_t> mismatches{0};
   std::vector<std::thread> drivers;
   for (int d = 0; d < 4; ++d) {
     drivers.emplace_back([&regions, &expected, &mismatches] {
@@ -77,26 +88,14 @@ TEST(TsanStressTest, ConcurrentEnginesShareInputRegions) {
         EngineOptions options;
         options.threads = 4;
         options.chunk_size = 1;  // Force maximal steal contention.
-        const auto pairs = ComputeAllPairs(regions, options);
-        if (!pairs.ok() || pairs->size() != expected->size()) {
-          mismatches.fetch_add(1);
-          continue;
-        }
-        for (size_t k = 0; k < pairs->size(); ++k) {
-          const PairRelation& got = (*pairs)[k];
-          const PairRelation& want = (*expected)[k];
-          if (got.primary != want.primary ||
-              got.reference != want.reference ||
-              got.relation != want.relation) {
-            mismatches.fetch_add(1);
-            break;
-          }
-        }
+        const auto store = ComputeRelationStore(regions, options);
+        mismatches.fetch_add(store.ok() ? MismatchesAgainst(*store, expected)
+                                        : 1);
       }
     });
   }
   for (std::thread& driver : drivers) driver.join();
-  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 TEST(TsanStressTest, DigestIdenticalAcrossThreadCountsUnderContention) {
@@ -104,28 +103,20 @@ TEST(TsanStressTest, DigestIdenticalAcrossThreadCountsUnderContention) {
   std::vector<Region> regions;
   for (int i = 0; i < 24; ++i) regions.push_back(RandomTestRegion(&rng));
 
-  EngineOptions serial_options;
-  serial_options.threads = 1;
-  const auto serial = ComputeAllPairsDigest(regions, serial_options);
-  ASSERT_TRUE(serial.ok()) << serial.status();
-
-  for (int threads : {2, 4, 8}) {
-    EngineOptions options;
-    options.threads = threads;
-    options.chunk_size = 1;
-    const auto digest = ComputeAllPairsDigest(regions, options);
-    ASSERT_TRUE(digest.ok()) << digest.status();
-    EXPECT_EQ(*digest, *serial) << threads << " threads";
+  const uint64_t serial = ReferenceDigest(regions);
+  for (const EngineOptions& options : OracleEngineOptions()) {
+    const auto store = ComputeRelationStore(regions, options);
+    ASSERT_TRUE(store.ok()) << store.status();
+    EXPECT_EQ(store->Digest(), serial)
+        << options.threads << " threads, chunk " << options.chunk_size;
   }
 }
 
-// Overlap-heavy regions drive most pairs through the deferred crossing
-// queue, so this exercises the engine's two-queue handoff under maximal
-// contention: chunk size 1 in the classify phase (every per-chunk deferred
-// spill appends to the shared queue under its mutex) and crossing chunk
-// size 1 in the compute phase (every deferred pair is its own steal-able
-// chunk). Matrix and digest must both reproduce the serial run.
-TEST(TsanStressTest, CrossingQueueTwoPhaseHandoffUnderContention) {
+// Overlap-heavy rectangles make most pairs explicit, so both sweep passes
+// (count, then emit at the counted offsets) do real per-pair work under
+// maximal contention: single-row strips, every one a steal-able chunk. The
+// stats and every stored relation must reproduce the serial run.
+TEST(TsanStressTest, SweepPassesOnOverlapHeavyInputUnderContention) {
   Rng rng(0xC805);
   std::vector<Region> regions;
   for (int i = 0; i < 24; ++i) {
@@ -134,46 +125,35 @@ TEST(TsanStressTest, CrossingQueueTwoPhaseHandoffUnderContention) {
     const double y = rng.NextDouble(0.0, 200.0 - size);
     regions.push_back(Region(MakeRectangle(x, y, x + size, y + size)));
   }
+  const std::vector<CardinalRelation> expected = ReferenceRelations(regions);
 
   EngineOptions serial_options;
   serial_options.threads = 1;
   EngineStats serial_stats;
-  const auto expected = ComputeAllPairs(regions, serial_options,
-                                        &serial_stats);
-  ASSERT_TRUE(expected.ok()) << expected.status();
+  const auto serial = ComputeRelationStore(regions, serial_options,
+                                           &serial_stats);
+  ASSERT_TRUE(serial.ok()) << serial.status();
   ASSERT_GT(serial_stats.crossing_pairs, 0u)
-      << "layout must push pairs through the crossing queue";
-  const auto serial_digest = ComputeAllPairsDigest(regions, serial_options);
-  ASSERT_TRUE(serial_digest.ok()) << serial_digest.status();
+      << "layout must make the sweep resolve crossing pairs";
+  ExpectStoreMatchesReference(*serial, expected);
 
   for (int threads : {2, 4, 8}) {
     EngineOptions options;
     options.threads = threads;
     options.chunk_size = 1;
-    options.crossing_chunk_size = 1;
     EngineStats stats;
-    const auto pairs = ComputeAllPairs(regions, options, &stats);
-    ASSERT_TRUE(pairs.ok()) << pairs.status();
-    ASSERT_EQ(pairs->size(), expected->size());
+    const auto store = ComputeRelationStore(regions, options, &stats);
+    ASSERT_TRUE(store.ok()) << store.status();
     EXPECT_EQ(stats.crossing_pairs, serial_stats.crossing_pairs)
         << threads << " threads";
     EXPECT_EQ(stats.prefiltered_pairs, serial_stats.prefiltered_pairs)
         << threads << " threads";
-    for (size_t k = 0; k < pairs->size(); ++k) {
-      const PairRelation got = (*pairs)[k];
-      const PairRelation want = (*expected)[k];
-      ASSERT_EQ(got.primary, want.primary) << "slot " << k;
-      ASSERT_EQ(got.reference, want.reference) << "slot " << k;
-      ASSERT_EQ(got.relation, want.relation)
-          << threads << " threads, slot " << k;
-    }
-    const auto digest = ComputeAllPairsDigest(regions, options);
-    ASSERT_TRUE(digest.ok()) << digest.status();
-    EXPECT_EQ(*digest, *serial_digest) << threads << " threads";
+    ExpectStoreMatchesReference(*store, expected);
   }
 }
 
-// The phase-2 WorkerScratch pattern: each worker owns one CdrScratch whose
+// The per-participant scratch pattern (SweepScratch, DeltaScratch): each
+// worker owns one CdrScratch whose
 // SoA lane arrays are reused (and grown) across every pair it drains,
 // while all workers read the same region vector. Each thread interleaves
 // small and large polygons so EnsureCapacity regrows its buffers mid-run
@@ -196,7 +176,7 @@ TEST(TsanStressTest, SharedRegionsPerThreadScratchReuse) {
   std::vector<std::thread> workers;
   for (int w = 0; w < 8; ++w) {
     workers.emplace_back([&regions, &mismatches, w] {
-      CdrScratch scratch;  // Reused across every pair, like WorkerScratch.
+      CdrScratch scratch;  // Reused across every pair, like SweepScratch.
       CdrMetricsDelta metrics;
       for (int round = 0; round < 4; ++round) {
         for (size_t i = 0; i < regions.size(); ++i) {
@@ -237,10 +217,10 @@ TEST(TsanStressTest, SharedRegionsPerThreadScratchReuse) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
-// The same reuse contract through the engine itself: overlap-heavy input
-// (most pairs deferred to the crossing queue, so every worker's scratch
-// is hot) at crossing chunk size 1, against the serial matrix.
-TEST(TsanStressTest, EngineWorkerScratchReuseAcrossCrossingPairs) {
+// The same reuse contract through the sweep itself: overlap-heavy input
+// (most pairs explicit, so every participant's CdrScratch is hot) in
+// single-row strips, against the serial Compute-CDR loop.
+TEST(TsanStressTest, SweepScratchReuseAcrossExplicitPairs) {
   Rng rng(0x5C8A7C);
   std::vector<Region> regions;
   for (int i = 0; i < 20; ++i) {
@@ -249,27 +229,18 @@ TEST(TsanStressTest, EngineWorkerScratchReuseAcrossCrossingPairs) {
     const double y = rng.NextDouble(0.0, 200.0 - size);
     regions.push_back(Region(MakeRectangle(x, y, x + size, y + size)));
   }
-
-  EngineOptions serial_options;
-  serial_options.threads = 1;
-  EngineStats serial_stats;
-  const auto expected = ComputeAllPairs(regions, serial_options,
-                                        &serial_stats);
-  ASSERT_TRUE(expected.ok()) << expected.status();
-  ASSERT_GT(serial_stats.crossing_pairs, regions.size())
-      << "layout must keep the worker scratches busy";
+  const std::vector<CardinalRelation> expected = ReferenceRelations(regions);
 
   for (int run = 0; run < 3; ++run) {
     EngineOptions options;
     options.threads = 8;
-    options.crossing_chunk_size = 1;
-    const auto pairs = ComputeAllPairs(regions, options);
-    ASSERT_TRUE(pairs.ok()) << pairs.status();
-    ASSERT_EQ(pairs->size(), expected->size());
-    for (size_t k = 0; k < pairs->size(); ++k) {
-      ASSERT_EQ((*pairs)[k].relation, (*expected)[k].relation)
-          << "run " << run << ", slot " << k;
-    }
+    options.chunk_size = 1;
+    EngineStats stats;
+    const auto store = ComputeRelationStore(regions, options, &stats);
+    ASSERT_TRUE(store.ok()) << store.status();
+    ASSERT_GT(stats.crossing_pairs, regions.size())
+        << "layout must keep the participants' scratches busy";
+    ExpectStoreMatchesReference(*store, expected);
   }
 }
 
@@ -277,7 +248,8 @@ TEST(TsanStressTest, EngineWorkerScratchReuseAcrossCrossingPairs) {
 // that lock with concurrent Move calls on distinct ids (each to an
 // absolute final geometry, so any interleaving converges to one state)
 // while other threads read Digest() mid-churn. The end digest must equal
-// a fresh batch compute — a dropped patch under contention would diverge.
+// the serial Compute-CDR loop's — a dropped patch under contention would
+// diverge.
 TEST(TsanStressTest, DeltaEngineConcurrentMovesAndDigestReaders) {
   Rng rng(0xDE17Au);
   std::vector<Region> regions;
@@ -312,9 +284,7 @@ TEST(TsanStressTest, DeltaEngineConcurrentMovesAndDigestReaders) {
   for (std::thread& worker : workers) worker.join();
   ASSERT_EQ(failures.load(), 0);
 
-  const auto expected = ComputeAllPairsDigest(final_regions);
-  ASSERT_TRUE(expected.ok()) << expected.status();
-  EXPECT_EQ(engine.Digest(), *expected);
+  EXPECT_EQ(engine.Digest(), ReferenceDigest(final_regions));
 }
 
 }  // namespace

@@ -100,13 +100,13 @@ TEST(RecorderTest, DumpContainsHeaderEventsAndMetrics) {
   MetricsRegistry::Global().GetCounter("test.recorder.dump_marker").Add(5);
   {
     RecorderGuard guard(true);
-    CARDIR_RECORD_EVENT(kDefer, "dump.test.spill", 41, 3);
+    CARDIR_RECORD_EVENT(kSweep, "dump.test.strip", 41, 3);
     ASSERT_TRUE(DumpFlightRecordToPath(path.c_str()));
   }
   const std::string dump = ReadFileOrEmpty(path);
   EXPECT_EQ(dump.rfind("cardir-flight-record v1\n", 0), 0u) << dump;
   EXPECT_NE(dump.find("\nring tid="), std::string::npos);
-  EXPECT_NE(dump.find(" kind=defer a=41 b=3 label=dump.test.spill\n"),
+  EXPECT_NE(dump.find(" kind=sweep a=41 b=3 label=dump.test.strip\n"),
             std::string::npos);
   // The best-effort metrics snapshot rides along.
   EXPECT_NE(dump.find("\nmetric counter test.recorder.dump_marker 5\n"),

@@ -5,7 +5,7 @@ Joins the two BENCH_engine.json ledgers on (workload, regions, mode,
 threads) and fails when any matched row's fresh wall time exceeds the
 baseline by more than the threshold ratio (default 1.30, i.e. a >30%
 regression). Rows present in only one ledger (different size lists,
-host-dependent engine_parallel_hw thread counts) are reported and skipped,
+host-dependent engine_sweep_parallel thread counts) are reported and skipped,
 as are rows under --min-ms, whose wall times are scheduler noise.
 
 Memory gate: rows carrying the mem_total_peak_bytes column (obs memory
