@@ -11,7 +11,7 @@
 // non-zero on a violation, which the nightly CI job relies on.
 //
 //   bench_engine [--sizes 1000,2000] [--serial-cap 2000] [--overlap 600]
-//                [--repeat 1] [--out BENCH_engine.json]
+//                [--repeat 1] [--soak-moves 0] [--out BENCH_engine.json]
 //                [--trace-out trace.json] [--flight-record record.txt]
 //                [--profile profile.folded] [--profile-hz 997]
 //
@@ -21,6 +21,17 @@
 // quadratic and only a reference point): single engine measurements on a
 // loaded host can swing ±50%, which would flake the perf-smoke gate that
 // diffs ledgers.
+//
+// --soak-moves N (default 0: off) adds one engine_delta_soak row per map
+// size: N moves (rounded up to even) on the engine the engine_delta rows
+// used, alternately displacing a random region (the engine_delta move) and
+// putting it back. It reports the
+// median move of the first and last tenth (soak_start_ms, soak_end_ms),
+// the store's bytes over a fresh sweep of the final geometry
+// (soak_bytes_ratio) and the store rebuilds the engine made
+// (soak_rebuilds). The final digest must equal the fresh sweep's, or the
+// binary exits non-zero. tools/perf_smoke.py gates the ratio and the
+// end/start drift.
 
 #include <algorithm>
 #include <chrono>
@@ -140,6 +151,12 @@ struct RunRecord {
   // for the batch modes.
   uint64_t delta_pairs_reresolved = 0;
   uint64_t delta_pairs_implicit = 0;
+  // engine_delta_soak rows only (see the file comment); soak_bytes_ratio 0
+  // marks every other row, whose soak columns are emitted as JSON null.
+  double soak_start_ms = 0;
+  double soak_end_ms = 0;
+  double soak_bytes_ratio = 0;
+  uint64_t soak_rebuilds = 0;
   // Memory telemetry (obs/memstats.h): per-arena high-water bytes within
   // this run's window (ObsWindow resets peaks at window start) plus the
   // process RSS sampled at window close. All zero under -DCARDIR_OBS=OFF.
@@ -169,7 +186,11 @@ void CheckCounterInvariants(const RunRecord& r,
               << " + " << computed << " != " << total << ")\n";
     std::exit(1);
   }
-  if (delta.counter("engine.runs") != 0 &&
+  // A batch row's window holds one sweep over all n·(n-1) pairs. Delta
+  // rows may hold store rebuilds too, each at the region count the script
+  // had reached, so only the split invariant above applies to them.
+  const bool delta_row = r.mode.rfind("engine_delta", 0) == 0;
+  if (!delta_row && delta.counter("engine.runs") != 0 &&
       total != static_cast<uint64_t>(r.pairs)) {
     std::cerr << "counter invariant violated (" << r.workload << " n="
               << r.regions << " " << r.mode << "): engine.pairs.total "
@@ -277,10 +298,16 @@ void PrintRecord(const RunRecord& r) {
     // Delta rows: per-mutation latency, not a batch throughput number.
     std::printf(
         "%-8s n=%-6d %-18s threads=%-2d %10.4f ms median  p99=%.4f ms"
-        "  reresolved=%llu implicit=%llu\n",
+        "  reresolved=%llu implicit=%llu",
         r.workload.c_str(), r.regions, r.mode.c_str(), r.threads, r.ms,
         r.p99_ms, static_cast<unsigned long long>(r.delta_pairs_reresolved),
         static_cast<unsigned long long>(r.delta_pairs_implicit));
+    if (r.soak_bytes_ratio > 0) {
+      std::printf("  start=%.4f ms end=%.4f ms bytes_ratio=%.3f rebuilds=%llu",
+                  r.soak_start_ms, r.soak_end_ms, r.soak_bytes_ratio,
+                  static_cast<unsigned long long>(r.soak_rebuilds));
+    }
+    std::printf("\n");
     return;
   }
   const double mpairs_s =
@@ -320,6 +347,15 @@ void WriteJson(const std::vector<RunRecord>& records, int repeat,
     // bench" for "zero-latency".
     const std::string p99 =
         r.p99_ms > 0 ? StrFormat("%.4f", r.p99_ms) : std::string("null");
+    auto soak_ms = [&r](double value) {
+      return r.soak_bytes_ratio > 0 ? StrFormat("%.4f", value)
+                                    : std::string("null");
+    };
+    const std::string soak_rebuilds =
+        r.soak_bytes_ratio > 0
+            ? StrFormat("%llu",
+                        static_cast<unsigned long long>(r.soak_rebuilds))
+            : std::string("null");
     out << StrFormat(
         "    {\"workload\": \"%s\", \"regions\": %d, \"mode\": \"%s\", "
         "\"threads\": %d, \"prefilter\": %s, \"ms\": %.4f, "
@@ -330,6 +366,8 @@ void WriteJson(const std::vector<RunRecord>& records, int repeat,
         "\"chunks_stolen\": %llu, \"edges_input\": %llu, "
         "\"edges_split\": %llu, \"delta_pairs_reresolved\": %llu, "
         "\"delta_pairs_implicit\": %llu, "
+        "\"soak_start_ms\": %s, \"soak_end_ms\": %s, "
+        "\"soak_bytes_ratio\": %s, \"soak_rebuilds\": %s, "
         "\"mem_edge_soa_peak_bytes\": %s, "
         "\"mem_sweep_scratch_peak_bytes\": %s, "
         "\"mem_relation_store_peak_bytes\": %s, "
@@ -346,6 +384,8 @@ void WriteJson(const std::vector<RunRecord>& records, int repeat,
         static_cast<unsigned long long>(r.edges_split),
         static_cast<unsigned long long>(r.delta_pairs_reresolved),
         static_cast<unsigned long long>(r.delta_pairs_implicit),
+        soak_ms(r.soak_start_ms).c_str(), soak_ms(r.soak_end_ms).c_str(),
+        soak_ms(r.soak_bytes_ratio).c_str(), soak_rebuilds.c_str(),
         mem(r.mem_edge_soa_peak_bytes).c_str(),
         mem(r.mem_sweep_scratch_peak_bytes).c_str(),
         mem(r.mem_relation_store_peak_bytes).c_str(),
@@ -364,6 +404,7 @@ int Main(int argc, char** argv) {
   int serial_cap = 2000;
   int overlap_size = 600;
   int repeat = 1;
+  int soak_moves = 0;
   std::string out_path = "BENCH_engine.json";
   std::string trace_path;
   std::string flight_record_path;
@@ -386,6 +427,8 @@ int Main(int argc, char** argv) {
       overlap_size = std::stoi(next());
     } else if (arg == "--repeat") {
       repeat = std::max(1, std::stoi(next()));
+    } else if (arg == "--soak-moves") {
+      soak_moves = std::max(0, std::stoi(next()));
     } else if (arg == "--out") {
       out_path = next();
     } else if (arg == "--trace-out") {
@@ -497,11 +540,12 @@ int Main(int argc, char** argv) {
       DeltaEngine engine = std::move(built.value());
       Rng delta_rng(0xDE0000u + static_cast<uint64_t>(n));
 
+      // `r` carries any row-specific columns (the soak's) in.
       auto push_delta_row = [&](const std::string& mode,
                                 std::vector<double> lat, double total_ms,
-                                const bench::ObsWindow& window) {
+                                const bench::ObsWindow& window,
+                                RunRecord r = RunRecord()) {
         std::sort(lat.begin(), lat.end());
-        RunRecord r;
         r.workload = name;
         r.regions = n;
         r.mode = mode;
@@ -594,7 +638,79 @@ int Main(int argc, char** argv) {
         push_delta_row("engine_delta_remove", std::move(lat), total_ms,
                        window);
       }
+
+      if (soak_moves > 0 && name == "map") {
+        // Soak (see the file comment): many moves on the same engine, in
+        // displace/return pairs, so the store's patch layer must stay
+        // bounded by its rebuilds and the move latency must not drift. A
+        // random walk would drift instead: regions pile onto each other,
+        // and at map/20k the full Compute-CDR runs per move, rebuilds
+        // included, went from 3 to 48 in 8k moves. The geometry ends where
+        // it starts, so the fresh reference store is swept before the
+        // window opens and only its digest and bytes are kept.
+        std::vector<Region> current;
+        current.reserve(engine.regions());
+        for (size_t i = 0; i < engine.regions(); ++i) {
+          current.push_back(engine.region(i));
+        }
+        uint64_t fresh_digest = 0;
+        size_t fresh_bytes = 0;
+        {
+          auto fresh = ComputeRelationStore(current);
+          if (!fresh.ok()) {
+            std::cerr << "soak fresh sweep failed: " << fresh.status()
+                      << "\n";
+            std::exit(1);
+          }
+          fresh_digest = fresh->Digest();
+          fresh_bytes = fresh->bytes();
+        }
+        const bench::ObsWindow window;
+        std::vector<double> lat;
+        double total_ms = 0;
+        for (int m = 0; m < soak_moves; m += 2) {
+          const size_t id = delta_rng.NextBelow(engine.regions());
+          Region displaced = Translated(current[id],
+                                        delta_rng.NextDouble(-40.0, 40.0),
+                                        delta_rng.NextDouble(-40.0, 40.0));
+          for (Region* geometry : {&displaced, &current[id]}) {
+            Region moved = *geometry;
+            const auto start = std::chrono::steady_clock::now();
+            const auto applied = engine.Move(id, std::move(moved));
+            const double ms = MsSince(start);
+            if (!applied.ok()) {
+              std::cerr << "delta soak move failed: " << applied.status()
+                        << "\n";
+              std::exit(1);
+            }
+            lat.push_back(ms);
+            total_ms += ms;
+          }
+        }
+        if (engine.Digest() != fresh_digest) {
+          std::cerr << "delta soak digest differs from a fresh sweep (n=" << n
+                    << ")\n";
+          std::exit(1);
+        }
+        RunRecord soak;
+        const auto window_median = [&lat](size_t begin, size_t end) {
+          std::vector<double> part(
+              lat.begin() + static_cast<ptrdiff_t>(begin),
+              lat.begin() + static_cast<ptrdiff_t>(end));
+          std::sort(part.begin(), part.end());
+          return part[part.size() / 2];
+        };
+        const size_t tenth = std::max<size_t>(1, lat.size() / 10);
+        soak.soak_start_ms = window_median(0, tenth);
+        soak.soak_end_ms = window_median(lat.size() - tenth, lat.size());
+        soak.soak_bytes_ratio = static_cast<double>(engine.store().bytes()) /
+                                static_cast<double>(fresh_bytes);
+        soak.soak_rebuilds = window.Delta().counter("delta.rebuilds");
+        push_delta_row("engine_delta_soak", std::move(lat), total_ms, window,
+                       soak);
+      }
     }
+
   };
 
   // Each workload seeds its own generator from its (name, size) alone, so

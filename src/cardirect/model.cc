@@ -27,51 +27,54 @@ Status Configuration::AddRegion(AnnotatedRegion region) {
     Result<DeltaResult> applied = delta_->Insert(region.geometry);
     if (!applied.ok()) return applied.status();
   }
+  index_.emplace(region.id, regions_.size());
   regions_.push_back(std::move(region));
   return Status::Ok();
 }
 
 Status Configuration::RemoveRegion(const std::string& id) {
-  auto it = std::find_if(regions_.begin(), regions_.end(),
-                         [&id](const AnnotatedRegion& r) { return r.id == id; });
-  if (it == regions_.end()) {
+  const size_t index = IndexOf(id);
+  if (index == regions_.size()) {
     return Status::NotFound("no region with id '" + id + "'");
   }
   if (relation_store() != nullptr) {
     // Delta-maintain the computed store: only the removed region's pairs
     // go, everything else keeps its stored relation.
     PromoteToDelta();
-    const size_t index = static_cast<size_t>(it - regions_.begin());
     Result<DeltaResult> applied = delta_->Remove(index);
     if (!applied.ok()) return applied.status();
-    regions_.erase(it);
-    return Status::Ok();
+  } else {
+    relations_.erase(
+        std::remove_if(relations_.begin(), relations_.end(),
+                       [&id](const RelationRecord& rec) {
+                         return rec.primary_id == id ||
+                                rec.reference_id == id;
+                       }),
+        relations_.end());
   }
-  regions_.erase(it);
-  relations_.erase(
-      std::remove_if(relations_.begin(), relations_.end(),
-                     [&id](const RelationRecord& rec) {
-                       return rec.primary_id == id || rec.reference_id == id;
-                     }),
-      relations_.end());
+  // `id` may alias the removed region's own id: unmap it first.
+  index_.erase(id);
+  for (auto& entry : index_) {
+    if (entry.second > index) --entry.second;
+  }
+  regions_.erase(regions_.begin() + static_cast<ptrdiff_t>(index));
   return Status::Ok();
 }
 
 Status Configuration::AddPolygonToRegion(const std::string& id,
                                          Polygon polygon) {
-  auto it = std::find_if(regions_.begin(), regions_.end(),
-                         [&id](const AnnotatedRegion& r) { return r.id == id; });
-  if (it == regions_.end()) {
+  const size_t index = IndexOf(id);
+  if (index == regions_.size()) {
     return Status::NotFound("no region with id '" + id + "'");
   }
   polygon.EnsureClockwise();
   CARDIR_RETURN_IF_ERROR(polygon.Validate());
-  it->geometry.AddPolygon(std::move(polygon));
+  Region& geometry = regions_[index].geometry;
+  geometry.AddPolygon(std::move(polygon));
   if (relation_store() != nullptr) {
     // Re-resolve just this region's dirty pairs against the grown geometry.
     PromoteToDelta();
-    const size_t index = static_cast<size_t>(it - regions_.begin());
-    Result<DeltaResult> applied = delta_->Move(index, it->geometry);
+    Result<DeltaResult> applied = delta_->Move(index, geometry);
     if (!applied.ok()) return applied.status();
     return Status::Ok();
   }
@@ -86,10 +89,8 @@ Status Configuration::AddPolygonToRegion(const std::string& id,
 }
 
 const AnnotatedRegion* Configuration::FindRegion(const std::string& id) const {
-  for (const AnnotatedRegion& region : regions_) {
-    if (region.id == id) return &region;
-  }
-  return nullptr;
+  const size_t index = IndexOf(id);
+  return index == regions_.size() ? nullptr : &regions_[index];
 }
 
 std::vector<const AnnotatedRegion*> Configuration::RegionsByColor(
@@ -116,6 +117,7 @@ Status Configuration::ComputeAllRelations(const EngineOptions& options,
       ComputeRelationStore(geometries, options, stats);
   if (!store.ok()) return store.status();
   store_ = std::move(*store);
+  engine_options_ = options;
   delta_.reset();
   relations_.clear();
   return Status::Ok();
@@ -129,7 +131,8 @@ void Configuration::PromoteToDelta() {
     geometries.push_back(region.geometry);
   }
   delta_.emplace(
-      DeltaEngine::Adopt(std::move(*store_), std::move(geometries)));
+      DeltaEngine::Adopt(std::move(*store_), std::move(geometries),
+                         engine_options_));
   store_.reset();
 }
 

@@ -10,6 +10,7 @@
 
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/cardinal_relation.h"
@@ -118,7 +119,7 @@ class Configuration {
   /// region are dropped as stale instead.
   Status AddPolygonToRegion(const std::string& id, Polygon polygon);
 
-  /// The region with `id`, or nullptr.
+  /// The region with `id`, or nullptr. O(1): one id→index map lookup.
   const AnnotatedRegion* FindRegion(const std::string& id) const;
 
   /// Regions carrying thematic color `color`.
@@ -160,9 +161,16 @@ class Configuration {
   // delta engine is already active or nothing was computed.
   void PromoteToDelta();
 
+  // Index of the region with `id` in regions_, or regions_.size().
+  size_t IndexOf(const std::string& id) const {
+    const auto it = index_.find(id);
+    return it == index_.end() ? regions_.size() : it->second;
+  }
+
   std::string name_;
   std::string image_file_;
   std::vector<AnnotatedRegion> regions_;
+  std::unordered_map<std::string, size_t> index_;  // id → regions_ index.
   // Stored relations: at most one representation is active. `store_` right
   // after ComputeAllRelations (indices parallel regions_); `delta_` once a
   // computed configuration is mutated (it owns the maintained store);
@@ -170,6 +178,9 @@ class Configuration {
   std::vector<RelationRecord> relations_;
   std::optional<RelationStore> store_;
   std::optional<DeltaEngine> delta_;
+  // The options store_ was computed with; the delta engine's store
+  // rebuilds reuse them.
+  EngineOptions engine_options_;
 };
 
 }  // namespace cardir

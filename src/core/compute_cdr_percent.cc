@@ -20,6 +20,9 @@ namespace {
 struct SignedSums {
   std::array<double, kNumTiles> signed_sum{};
   double signed_b_plus_n = 0.0;
+  // Sum of |term| over the terms of signed_b_plus_n and of the N tile: the
+  // scale of the rounding error left when a_B = |a_{B+N}| − |a_N| cancels.
+  double b_plus_n_magnitude = 0.0;
   size_t input_edges = 0;
   size_t split_edges = 0;
   size_t trapezoid_terms = 0;
@@ -101,6 +104,7 @@ void AccumulateTrapezoidsSoA(const EdgeSoA& soa, double m1, double m2,
     double acc_s[4] = {0, 0, 0, 0};
     double acc_n[4] = {0, 0, 0, 0};
     double acc_bn[4] = {0, 0, 0, 0};
+    double acc_mag[4] = {0, 0, 0, 0};
     size_t count_n = 0;
     size_t i = 0;
     for (; i + 4 <= n; i += 4) {
@@ -114,6 +118,9 @@ void AccumulateTrapezoidsSoA(const EdgeSoA& soa, double m1, double m2,
         acc_s[lane] += (c == kCodeS) ? th1 : 0.0;
         acc_n[lane] += (c == kCodeN) ? th2 : 0.0;
         acc_bn[lane] += (c == kCodeN || c == kCodeB) ? th1 : 0.0;
+        acc_mag[lane] += (c == kCodeN) ? std::abs(th1) + std::abs(th2)
+                         : (c == kCodeB) ? std::abs(th1)
+                                         : 0.0;
         count_n += (c == kCodeN) ? 1u : 0u;
       }
     }
@@ -126,11 +133,16 @@ void AccumulateTrapezoidsSoA(const EdgeSoA& soa, double m1, double m2,
       acc_s[0] += (c == kCodeS) ? th1 : 0.0;
       acc_n[0] += (c == kCodeN) ? th2 : 0.0;
       acc_bn[0] += (c == kCodeN || c == kCodeB) ? th1 : 0.0;
+      acc_mag[0] += (c == kCodeN) ? std::abs(th1) + std::abs(th2)
+                    : (c == kCodeB) ? std::abs(th1)
+                                    : 0.0;
       count_n += (c == kCodeN) ? 1u : 0u;
     }
     s[static_cast<int>(Tile::kS)] += (acc_s[0] + acc_s[1]) + (acc_s[2] + acc_s[3]);
     s[static_cast<int>(Tile::kN)] += (acc_n[0] + acc_n[1]) + (acc_n[2] + acc_n[3]);
     sums->signed_b_plus_n += (acc_bn[0] + acc_bn[1]) + (acc_bn[2] + acc_bn[3]);
+    sums->b_plus_n_magnitude +=
+        (acc_mag[0] + acc_mag[1]) + (acc_mag[2] + acc_mag[3]);
     // A piece contributes one term unless it lies in B, plus one more for
     // the B+N accumulator when it lies in B or N — which telescopes to
     // lanes + |{N lanes}| (the B lanes swap their skipped private term for
@@ -154,14 +166,15 @@ CdrPercentComputation FinalizeSums(const SignedSums& sums,
         std::abs(sums.signed_sum[static_cast<int>(t)]);
   }
   // a_B = |a_{B+N}| − |a_N|. When a barely (or never) enters B the two
-  // accumulators are large and near-equal, leaving an O(ulp) cancellation
-  // residue of either sign; treating anything within floating-point noise
-  // of the accumulators as exact zero keeps measure-zero B contacts from
-  // surfacing as a spurious positive percentage.
+  // accumulators are near-equal, leaving a cancellation residue of either
+  // sign whose size follows the *terms* summed, not the totals: a thin N
+  // sliver far from l1 sums large trapezoids to a small area. Treating
+  // anything within floating-point noise of those terms as exact zero
+  // keeps measure-zero B contacts from surfacing as a spurious positive
+  // percentage.
   const double area_n = result.tile_areas[static_cast<int>(Tile::kN)];
   const double area_b = std::abs(sums.signed_b_plus_n) - area_n;
-  const double noise =
-      1e-12 * std::max(std::abs(sums.signed_b_plus_n), area_n);
+  const double noise = 1e-12 * sums.b_plus_n_magnitude;
   result.tile_areas[static_cast<int>(Tile::kB)] =
       area_b <= noise ? 0.0 : area_b;
 
@@ -250,17 +263,21 @@ CdrPercentComputation ComputeCdrPercentScalar(const Region& primary,
             sums.signed_sum[static_cast<int>(Tile::kS)] +=
                 TrapezoidHorizontal(s, l1);
             break;
-          case Tile::kN:
-            sums.signed_sum[static_cast<int>(Tile::kN)] +=
-                TrapezoidHorizontal(s, l2);
+          case Tile::kN: {
+            const double term = TrapezoidHorizontal(s, l2);
+            sums.signed_sum[static_cast<int>(Tile::kN)] += term;
+            sums.b_plus_n_magnitude += std::abs(term);
             break;
+          }
           case Tile::kB:
             // B has no private reference line; only the B+N accumulator
             // below sees its edges.
             break;
         }
         if (piece.tile == Tile::kN || piece.tile == Tile::kB) {
-          sums.signed_b_plus_n += TrapezoidHorizontal(s, l1);
+          const double term = TrapezoidHorizontal(s, l1);
+          sums.signed_b_plus_n += term;
+          sums.b_plus_n_magnitude += std::abs(term);
           ++sums.trapezoid_terms;
         }
       }

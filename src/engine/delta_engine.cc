@@ -1,5 +1,6 @@
 #include "engine/delta_engine.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <mutex>
@@ -10,6 +11,7 @@
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
+#include "util/logging.h"
 
 namespace cardir {
 
@@ -20,12 +22,12 @@ DeltaEngine::~DeltaEngine() {
 DeltaEngine::DeltaEngine(const DeltaEngine& other) {
   const std::lock_guard<std::mutex> lock(other.mu_);
   regions_ = other.regions_;
-  boxes_ = other.boxes_;
   store_ = other.store_;
   x_index_ = other.x_index_;
   y_index_ = other.y_index_;
   degenerate_ids_ = other.degenerate_ids_;
   poly_ = other.poly_;
+  options_ = other.options_;
   scratch_.bits.Reset(regions_.size());
   RechargeAux();
 }
@@ -42,12 +44,12 @@ DeltaEngine& DeltaEngine::operator=(const DeltaEngine& other) {
 // the move operations skip the (throwing) lock and stay noexcept.
 DeltaEngine::DeltaEngine(DeltaEngine&& other) noexcept
     : regions_(std::move(other.regions_)),
-      boxes_(std::move(other.boxes_)),
       store_(std::move(other.store_)),
       x_index_(std::move(other.x_index_)),
       y_index_(std::move(other.y_index_)),
       degenerate_ids_(std::move(other.degenerate_ids_)),
       poly_(std::move(other.poly_)),
+      options_(other.options_),
       scratch_(std::move(other.scratch_)),
       aux_charged_(std::exchange(other.aux_charged_, 0)) {}
 
@@ -55,12 +57,12 @@ DeltaEngine& DeltaEngine::operator=(DeltaEngine&& other) noexcept {
   if (this != &other) {
     if (aux_charged_ != 0) CARDIR_MEMSTAT_FREE("delta_engine", aux_charged_);
     regions_ = std::move(other.regions_);
-    boxes_ = std::move(other.boxes_);
     store_ = std::move(other.store_);
     x_index_ = std::move(other.x_index_);
     y_index_ = std::move(other.y_index_);
     degenerate_ids_ = std::move(other.degenerate_ids_);
     poly_ = std::move(other.poly_);
+    options_ = other.options_;
     scratch_ = std::move(other.scratch_);
     aux_charged_ = std::exchange(other.aux_charged_, 0);
   }
@@ -72,21 +74,20 @@ Result<DeltaEngine> DeltaEngine::Build(std::vector<Region> regions,
                                        EngineStats* stats) {
   Result<RelationStore> store = ComputeRelationStore(regions, options, stats);
   if (!store.ok()) return store.status();
-  return Adopt(std::move(store.value()), std::move(regions));
+  return Adopt(std::move(store.value()), std::move(regions), options);
 }
 
 DeltaEngine DeltaEngine::Adopt(RelationStore store,
-                               std::vector<Region> regions) {
+                               std::vector<Region> regions,
+                               const EngineOptions& options) {
   DeltaEngine engine;
   engine.store_ = std::move(store);
   engine.regions_ = std::move(regions);
+  engine.options_ = options;
   const RegionProfile& profile = engine.store_.profile_;
   const size_t n = profile.size();
   assert(engine.regions_.size() == n);
-  engine.boxes_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    engine.boxes_.emplace_back(profile.min_x[i], profile.min_y[i],
-                               profile.max_x[i], profile.max_y[i]);
     if (profile.cross_override[i] != 0) {
       engine.degenerate_ids_.push_back(static_cast<uint32_t>(i));
     }
@@ -145,6 +146,58 @@ void DeltaEngine::SetDegenerate(size_t id, bool degenerate) {
   }
 }
 
+void DeltaEngine::ResolveDirty(size_t id, DeltaResult* result) {
+  DeltaScratch& ws = scratch_;
+  const RegionProfile& profile = store_.profile_;
+  CdrMetricsDelta cdr_metrics;
+  result->touched.reserve(2 * ws.affected.size());
+  for (size_t k = 0; k < ws.affected.size(); ++k) {
+    const size_t j = ws.affected[k];
+    // Side 0 is the mutated row (id, j), side 1 the mutated column (j, id).
+    for (size_t side = 0; side < 2; ++side) {
+      const size_t row = side == 0 ? id : j;
+      const size_t col = side == 0 ? j : id;
+      const bool was = ws.was_explicit[2 * k + side] != 0;
+      const uint8_t code = store_.ClassPairCode(row, col);
+      if (RelationStore::ResolvableCode(code)) {
+        if (was) store_.PatchPair(row, col, true, /*now_explicit=*/false, 0);
+        ++result->pairs_implicit;
+      } else {
+        const uint16_t mask =
+            ResolveExplicitMask(code, regions_[row], profile.BoxAt(col),
+                                profile, row, col, poly_, &cdr_metrics,
+                                &ws.cdr);
+        store_.PatchPair(row, col, was, /*now_explicit=*/true, mask);
+        ++result->pairs_reresolved;
+      }
+      result->touched.emplace_back(static_cast<uint32_t>(row),
+                                   static_cast<uint32_t>(col));
+    }
+  }
+  cdr_metrics.FlushToRegistry();
+  CARDIR_METRIC_COUNT("delta.pairs_reresolved", result->pairs_reresolved);
+  CARDIR_METRIC_COUNT("delta.pairs_implicit", result->pairs_implicit);
+}
+
+void DeltaEngine::MaybeRebuildStore() {
+  if (store_.patch_bytes() <=
+      std::max(kRebuildFloorBytes, store_.base_bytes() / kRebuildDivisor)) {
+    return;
+  }
+  const size_t bytes_before = store_.bytes();
+  // Free the churned store first: the fresh sweep then peaks at one
+  // store's footprint, not two.
+  store_ = RelationStore();
+  Result<RelationStore> fresh = ComputeRelationStore(regions_, options_);
+  // regions_ holds only geometry that passed Region::Validate, the one
+  // condition ComputeRelationStore rejects.
+  CARDIR_CHECK(fresh.ok()) << "delta store rebuild failed: "
+                           << fresh.status().ToString();
+  store_ = std::move(fresh.value());
+  CARDIR_METRIC_COUNT("delta.rebuilds", 1);
+  CARDIR_RECORD_EVENT(kDelta, "delta.rebuild", bytes_before, store_.bytes());
+}
+
 Result<DeltaResult> DeltaEngine::Insert(Region region) {
   const std::lock_guard<std::mutex> lock(mu_);
   const uint64_t start_us = obs::TraceNowMicros();
@@ -154,14 +207,13 @@ Result<DeltaResult> DeltaEngine::Insert(Region region) {
   const Box box = region.BoundingBox();
   const bool degenerate = box.IsEmpty() || box.IsDegenerate();
 
-  // Dirty set: candidates of the new box only — the column postdates every
-  // base row, so nothing was explicit against it before.
+  // Dirty set: candidates of the new box only. Neither the new row nor the
+  // new column has base slots, so nothing was explicit before.
   GatherAffected(id, degenerate, /*use_old=*/false, 0.0, 0.0, 0.0, 0.0,
                  /*use_new=*/true, box);
-  DeltaScratch& ws = scratch_;
+  scratch_.was_explicit.assign(2 * scratch_.affected.size(), 0);
 
   store_.AppendRegion(box);
-  boxes_.push_back(box);
   poly_.AppendRegion(region);
   regions_.push_back(std::move(region));
   x_index_.Append(box.min_x(), box.max_x(), degenerate);
@@ -169,49 +221,12 @@ Result<DeltaResult> DeltaEngine::Insert(Region region) {
   if (degenerate) degenerate_ids_.push_back(static_cast<uint32_t>(id));
 
   DeltaResult result;
-  result.touched.reserve(ws.affected.size() * 2);
-  const RegionProfile& profile = store_.profile_;
-  CdrMetricsDelta cdr_metrics;
-  ws.cols.clear();
-  ws.masks.clear();
-  size_t reresolved = 0;
-  size_t implicit = 0;
-  for (const uint32_t j : ws.affected) {
-    const uint8_t code_ij = store_.ClassPairCode(id, j);
-    if (!RelationStore::ResolvableCode(code_ij)) {
-      ws.cols.push_back(j);
-      ws.masks.push_back(ResolveExplicitMask(code_ij, regions_[id], boxes_[j],
-                                             profile, id, j, poly_,
-                                             &cdr_metrics, &ws.cdr));
-      ++reresolved;
-    } else {
-      ++implicit;
-    }
-    const uint8_t code_ji = store_.ClassPairCode(j, id);
-    if (!RelationStore::ResolvableCode(code_ji)) {
-      const uint16_t mask =
-          ResolveExplicitMask(code_ji, regions_[j], box, profile, j, id, poly_,
-                              &cdr_metrics, &ws.cdr);
-      store_.PatchPair(j, id, /*was_explicit=*/false, /*now_explicit=*/true,
-                       mask);
-      ++reresolved;
-    } else {
-      ++implicit;
-    }
-    result.touched.emplace_back(static_cast<uint32_t>(id), j);
-    result.touched.emplace_back(j, static_cast<uint32_t>(id));
-  }
-  store_.ReplaceRow(id, ws.cols, ws.masks);
-  for (const uint32_t j : ws.affected) store_.MaybeCompactRow(j);
-  cdr_metrics.FlushToRegistry();
+  ResolveDirty(id, &result);
+  MaybeRebuildStore();
   store_.RechargeMem();
   RechargeAux();
 
-  result.pairs_reresolved = reresolved;
-  result.pairs_implicit = implicit;
   result.apply_us = obs::TraceNowMicros() - start_us;
-  CARDIR_METRIC_COUNT("delta.pairs_reresolved", reresolved);
-  CARDIR_METRIC_COUNT("delta.pairs_implicit", implicit);
   CARDIR_METRIC_OBSERVE("delta.apply_us", result.apply_us);
   CARDIR_RECORD_EVENT(kDelta, "delta.insert", id, result.touched.size());
   return result;
@@ -238,73 +253,31 @@ Result<DeltaResult> DeltaEngine::Move(size_t id, Region geometry) {
   GatherAffected(id, old_degenerate || new_degenerate,
                  /*use_old=*/true, old_lo_x, old_hi_x, old_lo_y, old_hi_y,
                  /*use_new=*/true, new_box);
+  // Explicitness must be sampled before the profile moves: it is the
+  // `was_explicit` PatchPair needs to know whether the base row still
+  // carries a slot for the pair.
   DeltaScratch& ws = scratch_;
-
-  // (j, id) explicitness must be sampled before the profile moves: it is
-  // the `was_explicit` PatchPair needs to know whether the base row still
-  // carries a slot for the column.
   ws.was_explicit.clear();
-  ws.was_explicit.reserve(ws.affected.size());
+  ws.was_explicit.reserve(2 * ws.affected.size());
   for (const uint32_t j : ws.affected) {
-    ws.was_explicit.push_back(static_cast<uint8_t>(
-        RelationStore::ResolvableCode(store_.ClassPairCode(j, id)) ? 0 : 1));
+    ws.was_explicit.push_back(store_.IsExplicit(id, j) ? 1 : 0);
+    ws.was_explicit.push_back(store_.IsExplicit(j, id) ? 1 : 0);
   }
 
   store_.SetRegionBox(id, new_box);
-  boxes_[id] = new_box;
   poly_.ReplaceRegion(id, geometry);
   regions_[id] = std::move(geometry);
   x_index_.Update(id, new_box.min_x(), new_box.max_x(), new_degenerate);
   y_index_.Update(id, new_box.min_y(), new_box.max_y(), new_degenerate);
   SetDegenerate(id, new_degenerate);
 
-  // Re-resolve the dirty pairs against the updated profile: row id is
-  // rewritten wholesale, column id patched in every affected row.
   DeltaResult result;
-  result.touched.reserve(ws.affected.size() * 2);
-  CdrMetricsDelta cdr_metrics;
-  ws.cols.clear();
-  ws.masks.clear();
-  size_t reresolved = 0;
-  size_t implicit = 0;
-  for (size_t k = 0; k < ws.affected.size(); ++k) {
-    const uint32_t j = ws.affected[k];
-    const uint8_t code_ij = store_.ClassPairCode(id, j);
-    if (!RelationStore::ResolvableCode(code_ij)) {
-      ws.cols.push_back(j);
-      ws.masks.push_back(ResolveExplicitMask(code_ij, regions_[id], boxes_[j],
-                                             profile, id, j, poly_,
-                                             &cdr_metrics, &ws.cdr));
-      ++reresolved;
-    } else {
-      ++implicit;
-    }
-    const uint8_t code_ji = store_.ClassPairCode(j, id);
-    const bool was = ws.was_explicit[k] != 0;
-    if (!RelationStore::ResolvableCode(code_ji)) {
-      const uint16_t mask =
-          ResolveExplicitMask(code_ji, regions_[j], new_box, profile, j, id,
-                              poly_, &cdr_metrics, &ws.cdr);
-      store_.PatchPair(j, id, was, /*now_explicit=*/true, mask);
-      ++reresolved;
-    } else {
-      if (was) store_.PatchPair(j, id, was, /*now_explicit=*/false, 0);
-      ++implicit;
-    }
-    result.touched.emplace_back(static_cast<uint32_t>(id), j);
-    result.touched.emplace_back(j, static_cast<uint32_t>(id));
-  }
-  store_.ReplaceRow(id, ws.cols, ws.masks);
-  for (const uint32_t j : ws.affected) store_.MaybeCompactRow(j);
-  cdr_metrics.FlushToRegistry();
+  ResolveDirty(id, &result);
+  MaybeRebuildStore();
   store_.RechargeMem();
   RechargeAux();
 
-  result.pairs_reresolved = reresolved;
-  result.pairs_implicit = implicit;
   result.apply_us = obs::TraceNowMicros() - start_us;
-  CARDIR_METRIC_COUNT("delta.pairs_reresolved", reresolved);
-  CARDIR_METRIC_COUNT("delta.pairs_implicit", implicit);
   CARDIR_METRIC_OBSERVE("delta.apply_us", result.apply_us);
   CARDIR_RECORD_EVENT(kDelta, "delta.move", id, result.touched.size());
   return result;
@@ -329,7 +302,7 @@ Result<DeltaResult> DeltaEngine::Remove(size_t id) {
   DeltaResult result;
   result.touched.reserve(ws.affected.size() * 2);
   for (const uint32_t j : ws.affected) {
-    if (!RelationStore::ResolvableCode(store_.ClassPairCode(j, id))) {
+    if (store_.IsExplicit(j, id)) {
       store_.PatchPair(j, id, /*was_explicit=*/true, /*now_explicit=*/false,
                        0);
     }
@@ -338,7 +311,6 @@ Result<DeltaResult> DeltaEngine::Remove(size_t id) {
   }
   store_.EraseRegion(id);
   regions_.erase(regions_.begin() + static_cast<ptrdiff_t>(id));
-  boxes_.erase(boxes_.begin() + static_cast<ptrdiff_t>(id));
   poly_.EraseRegion(id);
   x_index_.Remove(id);
   y_index_.Remove(id);
@@ -349,9 +321,7 @@ Result<DeltaResult> DeltaEngine::Remove(size_t id) {
        it != degenerate_ids_.end(); ++it) {
     --*it;  // Ids above the erased one renumber down.
   }
-  for (const uint32_t j : ws.affected) {
-    store_.MaybeCompactRow(j > id ? j - 1 : j);
-  }
+  MaybeRebuildStore();
   store_.RechargeMem();
   RechargeAux();
 
@@ -376,8 +346,7 @@ size_t DeltaEngine::bytes() const {
 
 size_t DeltaEngine::aux_bytes() const {
   return x_index_.bytes() + y_index_.bytes() + poly_.bytes() +
-         scratch_.bytes() + boxes_.capacity() * sizeof(Box) +
-         degenerate_ids_.capacity() * sizeof(uint32_t);
+         scratch_.bytes() + degenerate_ids_.capacity() * sizeof(uint32_t);
 }
 
 void DeltaEngine::RechargeAux() {

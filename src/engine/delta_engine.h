@@ -18,9 +18,28 @@
 // sides of the mutation — and implicit relations are re-derived from the
 // live box profile on every read, so they need no storage update at all.
 // Dirty pairs are re-resolved with the exact sweep resolution kernel
-// (ResolveExplicitMask) and spliced into the store via its mutation layer
-// (ReplaceRow for the mutated row, PatchPair for the mutated column; see
+// (ResolveExplicitMask) and spliced into the store's patch lists with
+// PatchPair, the mutated row and the mutated column alike (see
 // relation_store.h and DESIGN.md §3.20).
+//
+// Bounded memory: a patch entry costs 8 bytes against a base slot's 2, and
+// orphaned base slots are reclaimed only by a rebuild. So once the patch
+// entries outgrow 1/kRebuildDivisor of the store's base (profile, row
+// offsets and base overlay) the engine frees the store and replaces it
+// with a fresh ComputeRelationStore of its own regions, swept with the
+// engine's EngineOptions: same relations, no patches. Between rebuilds the
+// store stays under ~(1 + 1/kRebuildDivisor)x its base plus the patch
+// list headers (24 bytes per row once any row is patched). The headers
+// are left out of the budget: they are fixed per row, and counting them
+// would let a sparse store (few explicit pairs, base ~41 bytes per region)
+// spend its whole budget on the first patch and rebuild on every
+// mutation. The base alone is 41 bytes per region, so the budget never
+// drops under ~1.7 entries per region: an engine pays one O(n log n)
+// rebuild per Θ(n) patch entries, not one per mutation, and the
+// kRebuildFloorBytes floor keeps small engines (tests, a few dozen
+// regions) on the patch path. Each rebuild bumps the delta.rebuilds
+// counter and records a kDelta "delta.rebuild" event with the store bytes
+// before and after.
 //
 // Correctness contract: after any mutation sequence, Digest() is
 // bit-identical to a fresh ComputeRelationStore over the same geometries
@@ -64,22 +83,20 @@ struct DeltaResult {
 };
 
 /// Per-engine working memory of the delta apply: the candidate bitset, the
-/// Compute-CDR scratch arena and the reusable gather/emit vectors. Guarded
-/// by the engine's mutex; escapes into cross-thread lambdas are forbidden
+/// Compute-CDR scratch arena and the reusable gather vectors. Guarded by
+/// the engine's mutex; escapes into cross-thread lambdas are forbidden
 /// (analyzer scratch-escape check).
 struct DeltaScratch {
   CandidateBitset bits;
   CdrScratch cdr;
-  std::vector<uint32_t> affected;     // Dirty partner ids, ascending.
-  std::vector<uint8_t> was_explicit;  // (j, k) explicit before, per partner.
-  std::vector<uint32_t> cols;         // Rewritten row: explicit columns…
-  std::vector<uint16_t> masks;        // …and their masks.
+  std::vector<uint32_t> affected;  // Dirty partner ids, ascending.
+  // Explicitness before the profile moved, two entries per partner j:
+  // (k, j) then (j, k).
+  std::vector<uint8_t> was_explicit;
 
   size_t bytes() const {
     return bits.bytes() + affected.capacity() * sizeof(uint32_t) +
-           was_explicit.capacity() * sizeof(uint8_t) +
-           cols.capacity() * sizeof(uint32_t) +
-           masks.capacity() * sizeof(uint16_t);
+           was_explicit.capacity() * sizeof(uint8_t);
   }
 };
 
@@ -103,8 +120,10 @@ class DeltaEngine {
   /// Adopts an already-computed store and the geometries it was computed
   /// from (regions[i] must be the region profiled at index i) — the
   /// promotion path Configuration uses so a computed store never pays a
-  /// second batch run.
-  static DeltaEngine Adopt(RelationStore store, std::vector<Region> regions);
+  /// second batch run. `options` drive the store rebuilds (see file
+  /// comment); Build passes its own.
+  static DeltaEngine Adopt(RelationStore store, std::vector<Region> regions,
+                           const EngineOptions& options = {});
 
   /// Appends `region` as index regions() and resolves its pairs against
   /// the existing set. Fails on invalid geometry (engine untouched).
@@ -139,17 +158,24 @@ class DeltaEngine {
   void GatherAffected(size_t id, bool all_rows, bool use_old, double old_lo_x,
                       double old_hi_x, double old_lo_y, double old_hi_y,
                       bool use_new, const Box& new_box);
+  void ResolveDirty(size_t id, DeltaResult* result);
+  void MaybeRebuildStore();
   void SetDegenerate(size_t id, bool degenerate);
   void RechargeAux();
   size_t aux_bytes() const;
 
+  // Rebuild once the patch entries exceed both kRebuildFloorBytes and
+  // 1/kRebuildDivisor of the store's base.
+  static constexpr size_t kRebuildDivisor = 3;
+  static constexpr size_t kRebuildFloorBytes = 16 * 1024;
+
   mutable std::mutex mu_;
   std::vector<Region> regions_;
-  std::vector<Box> boxes_;
   RelationStore store_;
   IntervalOverlapIndex x_index_, y_index_;
   std::vector<uint32_t> degenerate_ids_;  // Ascending; parity with sweep.
   PolygonBoxes poly_;
+  EngineOptions options_;  // The rebuild sweep's threads and chunk size.
   DeltaScratch scratch_;
   size_t aux_charged_ = 0;  // Live bytes charged to mem.delta_engine.
 };

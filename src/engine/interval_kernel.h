@@ -68,6 +68,11 @@ struct RegionProfile {
 
   size_t size() const { return min_x.size(); }
 
+  /// Box i's profiled bounds (its degenerate flag lives in cross_override).
+  Box BoxAt(size_t i) const {
+    return Box(min_x[i], min_y[i], max_x[i], max_y[i]);
+  }
+
   /// The class-pair code of (primary i, reference j): (x class << 2) |
   /// y class with both degenerate-box overrides OR-ed in. Every implicit
   /// relation the engine stores or recomputes comes from this one formula.

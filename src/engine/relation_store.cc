@@ -5,19 +5,6 @@ namespace cardir {
 CardinalRelation RelationStore::Relation(size_t primary,
                                          size_t reference) const {
   if (primary == reference) return CardinalRelation();
-  if (!loose_.empty()) {
-    const auto it = loose_.find(static_cast<uint32_t>(primary));
-    if (it != loose_.end()) {
-      const LooseRow& row = it->second;
-      const auto pos = std::lower_bound(row.cols.begin(), row.cols.end(),
-                                        static_cast<uint32_t>(reference));
-      if (pos != row.cols.end() && *pos == reference) {
-        return CardinalRelation::FromMask(
-            row.masks[static_cast<size_t>(pos - row.cols.begin())]);
-      }
-      return (*relations_)[ClassPairCode(primary, reference)];
-    }
-  }
   const uint8_t code = ClassPairCode(primary, reference);
   const std::vector<RowPatch>* patches = FindPatches(primary);
   if (patches != nullptr) {
@@ -88,88 +75,61 @@ void RelationStore::SetRegionBox(size_t id, const Box& box) {
 }
 
 void RelationStore::AppendRegion(const Box& box) {
-  profile_.min_x.push_back(box.min_x());
-  profile_.max_x.push_back(box.max_x());
-  profile_.min_y.push_back(box.min_y());
-  profile_.max_y.push_back(box.max_y());
-  profile_.cross_override.push_back(
-      (box.IsEmpty() || box.IsDegenerate()) ? 0x0f : 0x00);
-  row_offsets_.push_back(row_offsets_.back());
-}
-
-void RelationStore::ReplaceRow(size_t row, std::vector<uint32_t> cols,
-                               std::vector<uint16_t> masks) {
-  assert(cols.size() == masks.size());
-  assert(std::is_sorted(cols.begin(), cols.end()));
-  LooseRow& loose = loose_[static_cast<uint32_t>(row)];
-  loose.cols = std::move(cols);
-  loose.masks = std::move(masks);
-  patches_.erase(static_cast<uint32_t>(row));
+  // Grow by an eighth instead of the library's doubling: a built store's
+  // vectors are exactly sized, and doubling them on the first insert would
+  // add a quarter or more to a map store's bytes().
+  const auto append = [](auto& values, auto value) {
+    if (values.size() == values.capacity()) {
+      values.reserve(values.size() + values.size() / 8 + 8);
+    }
+    values.push_back(std::move(value));
+  };
+  append(profile_.min_x, box.min_x());
+  append(profile_.max_x, box.max_x());
+  append(profile_.min_y, box.min_y());
+  append(profile_.max_y, box.max_y());
+  append(profile_.cross_override,
+         static_cast<uint8_t>(box.IsEmpty() || box.IsDegenerate() ? 0x0f : 0));
+  append(row_offsets_, row_offsets_.back());
+  if (!patches_.empty()) append(patches_, std::vector<RowPatch>());
 }
 
 void RelationStore::PatchPair(size_t row, size_t col, bool was_explicit,
                               bool now_explicit, uint16_t mask) {
-  const uint32_t row32 = static_cast<uint32_t>(row);
-  const uint32_t col32 = static_cast<uint32_t>(col);
-  if (!loose_.empty()) {
-    const auto lit = loose_.find(row32);
-    if (lit != loose_.end()) {
-      // Loose row: edit the explicit column list in place.
-      LooseRow& loose = lit->second;
-      auto pos = std::lower_bound(loose.cols.begin(), loose.cols.end(), col32);
-      const size_t k = static_cast<size_t>(pos - loose.cols.begin());
-      const bool present = pos != loose.cols.end() && *pos == col32;
-      if (now_explicit) {
-        if (present) {
-          loose.masks[k] = mask;
-        } else {
-          loose.cols.insert(pos, col32);
-          loose.masks.insert(loose.masks.begin() + static_cast<ptrdiff_t>(k),
-                             mask);
-        }
-      } else if (present) {
-        loose.cols.erase(pos);
-        loose.masks.erase(loose.masks.begin() + static_cast<ptrdiff_t>(k));
-      }
-      return;
-    }
-  }
-  const auto pit = patches_.find(row32);
-  std::vector<RowPatch>* list = pit == patches_.end() ? nullptr : &pit->second;
-  if (list != nullptr) {
-    auto pos = std::lower_bound(
-        list->begin(), list->end(), col32,
-        [](const RowPatch& patch, uint32_t c) { return patch.col < c; });
-    while (pos != list->end() && pos->col == col32 && pos->is_ghost != 0) {
-      ++pos;
-    }
-    if (pos != list->end() && pos->col == col32) {
-      // Existing override: keep its base-slot flag (set at first patch,
-      // when "before" still meant base-build time).
-      if (!now_explicit && pos->consumes_base == 0) {
-        list->erase(pos);  // Degenerated to a no-op entry.
-      } else {
-        pos->is_explicit = now_explicit ? 1 : 0;
-        pos->mask = mask;
-      }
-      return;
-    }
+  if (patches_.empty()) {
     if (!was_explicit && !now_explicit) return;
+    patches_.resize(regions());
+  }
+  std::vector<RowPatch>& list = patches_[row];
+  const size_t capacity_before = list.capacity();
+  const uint32_t col32 = static_cast<uint32_t>(col);
+  auto pos = std::lower_bound(
+      list.begin(), list.end(), col32,
+      [](const RowPatch& patch, uint32_t c) { return patch.col < c; });
+  while (pos != list.end() && pos->col == col32 && pos->is_ghost != 0) {
+    ++pos;
+  }
+  if (pos != list.end() && pos->col == col32) {
+    // Existing override: keep its base-slot flag (set at first patch, when
+    // "before" still meant base-build time).
+    if (!now_explicit && pos->consumes_base == 0) {
+      list.erase(pos);  // Degenerated to a no-op entry.
+      // A list that empties gives its capacity back, so patch_bytes()
+      // counts live edits, not the high-water mark of every row touched.
+      if (list.empty()) std::vector<RowPatch>().swap(list);
+    } else {
+      pos->is_explicit = now_explicit;
+      pos->mask = mask;
+    }
+  } else if (was_explicit || now_explicit) {
     RowPatch patch;
     patch.col = col32;
-    patch.consumes_base = was_explicit ? 1 : 0;
-    patch.is_explicit = now_explicit ? 1 : 0;
     patch.mask = mask;
-    list->insert(pos, patch);
-    return;
+    patch.consumes_base = was_explicit;
+    patch.is_explicit = now_explicit;
+    list.insert(pos, patch);
   }
-  if (!was_explicit && !now_explicit) return;
-  RowPatch patch;
-  patch.col = col32;
-  patch.consumes_base = was_explicit ? 1 : 0;
-  patch.is_explicit = now_explicit ? 1 : 0;
-  patch.mask = mask;
-  patches_[row32].push_back(patch);
+  patch_bytes_ += (list.capacity() - capacity_before) * sizeof(RowPatch);
 }
 
 void RelationStore::EraseRegion(size_t id) {
@@ -192,73 +152,29 @@ void RelationStore::EraseRegion(size_t id) {
   profile_.min_y.erase(profile_.min_y.begin() + at);
   profile_.max_y.erase(profile_.max_y.begin() + at);
   profile_.cross_override.erase(profile_.cross_override.begin() + at);
-  // Loose rows: drop the erased column, renumber columns and row keys.
-  std::unordered_map<uint32_t, LooseRow> loose;
-  loose.reserve(loose_.size());
-  for (auto& entry : loose_) {
-    if (entry.first == id32) continue;
-    LooseRow& row = entry.second;
-    auto pos = std::lower_bound(row.cols.begin(), row.cols.end(), id32);
-    if (pos != row.cols.end() && *pos == id32) {
-      row.masks.erase(row.masks.begin() + (pos - row.cols.begin()));
-      pos = row.cols.erase(pos);
-    }
-    for (auto it = pos; it != row.cols.end(); ++it) --*it;
-    loose.emplace(entry.first > id32 ? entry.first - 1 : entry.first,
-                  std::move(row));
-  }
-  loose_ = std::move(loose);
-  // Patch lists: the erased column's base-consuming overrides become
-  // ghosts (their orphaned base slot outlives the column), its other
-  // overrides drop, higher columns renumber. The transform is monotone on
-  // (col, ghosts-first), so the list order is preserved.
-  std::unordered_map<uint32_t, std::vector<RowPatch>> patches;
-  patches.reserve(patches_.size());
-  for (auto& entry : patches_) {
-    if (entry.first == id32) continue;
-    std::vector<RowPatch> out;
-    out.reserve(entry.second.size());
-    for (RowPatch patch : entry.second) {
-      if (patch.is_ghost != 0) {
-        if (patch.col > id32) --patch.col;
-        out.push_back(patch);
-      } else if (patch.col == id32) {
-        if (patch.consumes_base != 0) {
-          RowPatch ghost;
-          ghost.col = id32;
-          ghost.consumes_base = 1;
-          ghost.is_ghost = 1;
-          out.push_back(ghost);
-        }
-      } else {
-        if (patch.col > id32) --patch.col;
-        out.push_back(patch);
+  if (patches_.empty()) return;
+  // Patch lists: row id's goes; in every other list the erased column's
+  // base-consuming overrides become ghosts (their orphaned base slot
+  // outlives the column), its other overrides drop, higher columns
+  // renumber. The transform is monotone on (col, ghosts-first) and maps
+  // each entry to at most one, so it runs in place, order preserved.
+  patch_bytes_ -= patches_[id].capacity() * sizeof(RowPatch);
+  patches_.erase(patches_.begin() + at);
+  for (std::vector<RowPatch>& list : patches_) {
+    size_t out = 0;
+    for (RowPatch patch : list) {
+      if (patch.is_ghost == 0 && patch.col == id32) {
+        if (patch.consumes_base == 0) continue;
+        patch.is_ghost = 1;
+        patch.is_explicit = 0;
+        patch.mask = 0;
+      } else if (patch.col > id32) {
+        --patch.col;
       }
+      list[out++] = patch;
     }
-    if (!out.empty()) {
-      patches.emplace(entry.first > id32 ? entry.first - 1 : entry.first,
-                      std::move(out));
-    }
+    list.resize(out);
   }
-  patches_ = std::move(patches);
-}
-
-void RelationStore::MaybeCompactRow(size_t row) {
-  const auto it = patches_.find(static_cast<uint32_t>(row));
-  if (it == patches_.end() || it->second.size() <= kCompactPatches) return;
-  // Rebuild the row as a loose row via one merged walk; the current codes
-  // decide explicitness (patches never disagree with them — they exist to
-  // keep the base cursor aligned and to carry masks).
-  LooseRow loose;
-  ForEachInRow(row, [this, row, &loose](size_t j,
-                                        const CardinalRelation& relation) {
-    if (!ResolvableCode(ClassPairCode(row, j))) {
-      loose.cols.push_back(static_cast<uint32_t>(j));
-      loose.masks.push_back(relation.mask());
-    }
-  });
-  loose_[static_cast<uint32_t>(row)] = std::move(loose);
-  patches_.erase(static_cast<uint32_t>(row));
 }
 
 }  // namespace cardir

@@ -33,19 +33,19 @@
 //
 // Mutation layer (DESIGN.md §3.20): the store supports single-region
 // rewrites without rebuilding the positional base. The base overlay stays
-// immutable between EraseRegion calls; edits are layered on top as
-//   * per-row *patch lists* — sparse column overrides, sorted by column,
-//     each recording whether the base row still carries an (orphaned) slot
-//     for that column (`consumes_base`), so the walk stays cursor-aligned;
-//     *ghost* entries consume a base slot of an erased column;
-//   * *loose rows* — rows rewritten wholesale as explicit column-id/mask
-//     pairs, their base slots orphaned.
-// Callers (the DeltaEngine, the mutation property tests) own the
-// consistency contract: after every profile change (SetRegionBox /
-// AppendRegion), every pair whose explicitness or mask changed must be
-// patched before the store is read — exactly the dirty set the sweep
-// completeness bound yields. MaybeCompactRow converts a long patch list to
-// a loose row, keeping per-row walk overhead amortized O(1) per patch.
+// immutable between EraseRegion calls; every edit is a sparse column
+// override in a per-row *patch list*, sorted by column. Each entry records
+// whether the base row still carries an (orphaned) slot for its column
+// (`consumes_base`), so the merged walk stays cursor-aligned; *ghost*
+// entries consume a base slot of an erased column. Callers (the
+// DeltaEngine, the mutation property tests) own the consistency contract:
+// after every profile change (SetRegionBox / AppendRegion), every pair
+// whose explicitness or mask changed must be patched — in the mutated
+// row and in the mutated column alike — before the store is read: exactly
+// the dirty set the sweep completeness bound yields. The store does not
+// bound its own patch layer: patch_bytes() against base_bytes() is the
+// signal the DeltaEngine uses to replace a churned store with a fresh
+// sweep of the same geometry.
 
 #ifndef CARDIR_ENGINE_RELATION_STORE_H_
 #define CARDIR_ENGINE_RELATION_STORE_H_
@@ -55,7 +55,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -123,16 +122,35 @@ Result<RelationStore> ComputeRelationStore(
 class RelationStore {
  public:
   RelationStore() = default;
-  RelationStore(RelationStore&&) = default;
-  RelationStore& operator=(RelationStore&&) = default;
+  // Moves leave the source empty, patch-byte counter included.
+  RelationStore(RelationStore&& other) noexcept
+      : profile_(std::move(other.profile_)),
+        row_offsets_(std::move(other.row_offsets_)),
+        overlay_masks_(std::move(other.overlay_masks_)),
+        patches_(std::move(other.patches_)),
+        patch_bytes_(std::exchange(other.patch_bytes_, 0)),
+        relations_(other.relations_),
+        charge_(std::move(other.charge_)) {}
+  RelationStore& operator=(RelationStore&& other) noexcept {
+    if (this != &other) {
+      profile_ = std::move(other.profile_);
+      row_offsets_ = std::move(other.row_offsets_);
+      overlay_masks_ = std::move(other.overlay_masks_);
+      patches_ = std::move(other.patches_);
+      patch_bytes_ = std::exchange(other.patch_bytes_, 0);
+      relations_ = other.relations_;
+      charge_ = std::move(other.charge_);
+    }
+    return *this;
+  }
   // Copies re-charge the arena for the clone's own footprint (the charge
   // is per-instance state, not shared).
   RelationStore(const RelationStore& other)
       : profile_(other.profile_),
         row_offsets_(other.row_offsets_),
         overlay_masks_(other.overlay_masks_),
-        loose_(other.loose_),
         patches_(other.patches_),
+        patch_bytes_(PatchBytesOf(patches_)),
         relations_(other.relations_),
         charge_(bytes()) {}
   RelationStore& operator=(const RelationStore& other) {
@@ -140,8 +158,8 @@ class RelationStore {
       profile_ = other.profile_;
       row_offsets_ = other.row_offsets_;
       overlay_masks_ = other.overlay_masks_;
-      loose_ = other.loose_;
       patches_ = other.patches_;
+      patch_bytes_ = PatchBytesOf(patches_);
       relations_ = other.relations_;
       charge_ = MemCharge(bytes());
     }
@@ -159,27 +177,31 @@ class RelationStore {
 
   /// Base-overlay slots. On a freshly built store this is exactly the
   /// explicit pair count; after mutations it also counts slots orphaned by
-  /// patches and loose rows (reclaimed only by a full rebuild).
+  /// patches (reclaimed only by a full rebuild).
   size_t overlay_pairs() const { return overlay_masks_.size(); }
 
-  /// Storage footprint in bytes (what mem.relation_store is charged),
-  /// including the mutation layer's patch lists and loose rows.
+  /// Bytes of the positional base: box profile, row offsets and overlay
+  /// slots — all of a freshly built store.
+  size_t base_bytes() const {
+    return (profile_.min_x.capacity() + profile_.max_x.capacity() +
+            profile_.min_y.capacity() + profile_.max_y.capacity()) *
+               sizeof(double) +
+           profile_.cross_override.capacity() * sizeof(uint8_t) +
+           row_offsets_.capacity() * sizeof(uint64_t) +
+           overlay_masks_.capacity() * sizeof(uint16_t);
+  }
+
+  /// Bytes of the patch entries (the mutation layer's edits). Kept current
+  /// by every mutation, so it is O(1). The per-row list headers the first
+  /// patch allocates are not counted here: they are a fixed 24 bytes per
+  /// row, not a measure of accumulated edits.
+  size_t patch_bytes() const { return patch_bytes_; }
+
+  /// Storage footprint in bytes (what mem.relation_store is charged): the
+  /// base, the patch list headers and the patch entries.
   size_t bytes() const {
-    size_t total = (profile_.min_x.capacity() + profile_.max_x.capacity() +
-                    profile_.min_y.capacity() + profile_.max_y.capacity()) *
-                       sizeof(double) +
-                   profile_.cross_override.capacity() * sizeof(uint8_t) +
-                   row_offsets_.capacity() * sizeof(uint64_t) +
-                   overlay_masks_.capacity() * sizeof(uint16_t);
-    for (const auto& entry : loose_) {
-      total += kEditNodeBytes +
-               entry.second.cols.capacity() * sizeof(uint32_t) +
-               entry.second.masks.capacity() * sizeof(uint16_t);
-    }
-    for (const auto& entry : patches_) {
-      total += kEditNodeBytes + entry.second.capacity() * sizeof(RowPatch);
-    }
-    return total;
+    return base_bytes() +
+           patches_.capacity() * sizeof(std::vector<RowPatch>) + patch_bytes_;
   }
 
   /// True when either axis class of (primary, reference) is kCross or a box
@@ -201,24 +223,6 @@ class RelationStore {
   template <typename Fn>
   void ForEachInRow(size_t primary, Fn&& fn) const {
     const size_t n = profile_.size();
-    if (!loose_.empty()) {
-      const auto it = loose_.find(static_cast<uint32_t>(primary));
-      if (it != loose_.end()) {
-        // Loose row: the sorted explicit columns are authoritative, the
-        // base slots (if any) are orphaned.
-        const LooseRow& row = it->second;
-        size_t k = 0;
-        for (size_t j = 0; j < n; ++j) {
-          if (j == primary) continue;
-          if (k < row.cols.size() && row.cols[k] == j) {
-            fn(j, CardinalRelation::FromMask(row.masks[k++]));
-          } else {
-            fn(j, (*relations_)[ClassPairCode(primary, j)]);
-          }
-        }
-        return;
-      }
-    }
     const std::vector<RowPatch>* patches = FindPatches(primary);
     const uint16_t* overlay = overlay_masks_.data() + row_offsets_[primary];
     size_t cursor = 0;
@@ -300,17 +304,11 @@ class RelationStore {
   /// Overwrites region `id`'s profiled box (and its degenerate override).
   void SetRegionBox(size_t id, const Box& box);
 
-  /// Extends the profile with a new region (index regions()); its row has
-  /// no base slots, so the caller must ReplaceRow it before reading, and
-  /// PatchPair the new column into every row where (j, new) is explicit
-  /// (was_explicit = false — the base rows predate the column).
+  /// Extends the profile with a new region (index regions()). Neither its
+  /// row nor its column has base slots, so the caller must PatchPair every
+  /// explicit (new, j) and (j, new) with was_explicit = false before
+  /// reading.
   void AppendRegion(const Box& box);
-
-  /// Rewrites row `row` wholesale: `cols` (ascending) are its explicit
-  /// reference columns, `masks` their relation masks. Drops the row's
-  /// patches; its base slots become orphaned.
-  void ReplaceRow(size_t row, std::vector<uint32_t> cols,
-                  std::vector<uint16_t> masks);
 
   /// Records that pair (row, col)'s stored state changed: `was_explicit`
   /// is its explicitness immediately before the current mutation's profile
@@ -327,50 +325,53 @@ class RelationStore {
   /// patch lists and convert to ghosts. O(regions + overlay + edits).
   void EraseRegion(size_t id);
 
-  /// Converts `row`'s patch list to a loose row once it outgrows
-  /// kCompactPatches — O(regions), amortized O(1) per patch. Call after a
-  /// batch of PatchPair applications.
-  void MaybeCompactRow(size_t row);
-
   /// Re-charges the mem.relation_store arena for the current footprint.
-  /// Call once per mutation batch.
-  void RechargeMem() { charge_ = MemCharge(bytes()); }
+  /// Call once per mutation batch. The old charge is released first, so
+  /// the arena's peak never counts the store twice.
+  void RechargeMem() {
+    charge_.Release();
+    charge_ = MemCharge(bytes());
+  }
 
-  /// Rows currently carrying edits (loose or patched) — test hook.
-  size_t edited_rows() const { return loose_.size() + patches_.size(); }
+  /// Rows currently carrying patches — test and telemetry hook, O(rows).
+  size_t edited_rows() const {
+    return static_cast<size_t>(std::count_if(
+        patches_.begin(), patches_.end(),
+        [](const std::vector<RowPatch>& list) { return !list.empty(); }));
+  }
 
  private:
   friend Result<RelationStore> ComputeRelationStore(
       const std::vector<const Region*>&, const EngineOptions&, EngineStats*);
   friend class DeltaEngine;
 
-  // Patch lists longer than this compact into a loose row.
-  static constexpr size_t kCompactPatches = 64;
-  // Flat estimate of one unordered_map node + bookkeeping, for bytes().
-  static constexpr size_t kEditNodeBytes = 64;
-
   // One sparse edit to a base row. Sorted by (col, ghosts first). A ghost
   // consumes one orphaned base slot of an erased column; a normal entry
   // overrides column `col` (is_explicit/mask) and consumes a base slot iff
-  // the base row was built with one for that column.
+  // the base row was built with one for that column. The flags share one
+  // byte, so an entry is 8 bytes.
   struct RowPatch {
     uint32_t col = 0;
-    uint8_t consumes_base = 0;
-    uint8_t is_explicit = 0;
-    uint8_t is_ghost = 0;
     uint16_t mask = 0;
+    uint8_t consumes_base : 1 = 0;
+    uint8_t is_explicit : 1 = 0;
+    uint8_t is_ghost : 1 = 0;
   };
+  static_assert(sizeof(RowPatch) == 8);
 
-  // A row rewritten wholesale: ascending explicit column ids + masks.
-  struct LooseRow {
-    std::vector<uint32_t> cols;
-    std::vector<uint16_t> masks;
-  };
+  // The entry bytes a patch table holds (a copy drops the original's
+  // spare capacity, so copies recount).
+  static size_t PatchBytesOf(const std::vector<std::vector<RowPatch>>& table) {
+    size_t total = 0;
+    for (const std::vector<RowPatch>& list : table) {
+      total += list.capacity() * sizeof(RowPatch);
+    }
+    return total;
+  }
 
   const std::vector<RowPatch>* FindPatches(size_t row) const {
-    if (patches_.empty()) return nullptr;
-    const auto it = patches_.find(static_cast<uint32_t>(row));
-    return it == patches_.end() ? nullptr : &it->second;
+    if (patches_.empty() || patches_[row].empty()) return nullptr;
+    return &patches_[row];
   }
 
   // Balances the mem.relation_store gauges across moves and destruction.
@@ -408,9 +409,10 @@ class RelationStore {
   RegionProfile profile_;
   std::vector<uint64_t> row_offsets_;    // regions() + 1 entries.
   std::vector<uint16_t> overlay_masks_;  // Row-major, ascending reference.
-  // Mutation layer: rows rewritten wholesale / sparse column overrides.
-  std::unordered_map<uint32_t, LooseRow> loose_;
-  std::unordered_map<uint32_t, std::vector<RowPatch>> patches_;
+  // Mutation layer: sparse column overrides, one list per row once the
+  // first patch lands (empty before), and the entry bytes they hold.
+  std::vector<std::vector<RowPatch>> patches_;
+  size_t patch_bytes_ = 0;
   const std::array<CardinalRelation, kNumClassPairCodes>* relations_ =
       nullptr;
   MemCharge charge_;

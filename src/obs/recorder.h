@@ -44,6 +44,7 @@ enum class RecordKind : uint16_t {
   kLog = 4,    // Tail of a CARDIR_LOG line (truncated to the label field).
   kSweep = 5,  // Sweep-join strip; a = first row, b = row count.
   kDelta = 6,  // Delta-engine apply; a = region id, b = touched pairs.
+               // "delta.rebuild": a = store bytes before, b = after.
 };
 
 /// One recorded event. POD, fixed size, no pointers to transient storage:

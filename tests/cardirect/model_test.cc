@@ -185,6 +185,61 @@ TEST(ConfigurationTest, RemoveRegionAfterComputeKeepsOtherPairs) {
   ExpectMatchesRecompute(config);
 }
 
+// Ids resolve through an id→index map. Removing a region shifts the index
+// of every later region; each lookup must land on the region now at that
+// position, with and without a computed store.
+void ExpectLookupsFollowPositions(const Configuration& config) {
+  const auto& regions = config.regions();
+  const RelationStore* store = config.relation_store();
+  for (size_t i = 0; i < regions.size(); ++i) {
+    ASSERT_EQ(config.FindRegion(regions[i].id), &regions[i]) << i;
+    if (store == nullptr) continue;
+    for (size_t j = 0; j < regions.size(); ++j) {
+      if (i == j) continue;
+      const auto stored = config.StoredRelation(regions[i].id, regions[j].id);
+      ASSERT_TRUE(stored.has_value()) << i << " vs " << j;
+      EXPECT_EQ(stored->mask(), store->Relation(i, j).mask())
+          << i << " vs " << j;
+    }
+  }
+}
+
+TEST(ConfigurationTest, LookupsFollowIndexShiftAfterRemoveRegion) {
+  for (const bool computed : {false, true}) {
+    SCOPED_TRACE(computed ? "computed" : "records");
+    Configuration config;
+    for (int i = 0; i < 6; ++i) {
+      std::string id = "r";
+      id += std::to_string(i);
+      ASSERT_TRUE(config
+                      .AddRegion(MakeRegion(id, "red", i * 20.0, i * 3.0,
+                                            i * 20.0 + 25, i * 3.0 + 10))
+                      .ok());
+    }
+    if (computed) {
+      ASSERT_TRUE(config.ComputeAllRelations().ok());
+    }
+    // The argument aliases the removed region's own id string.
+    ASSERT_TRUE(config.RemoveRegion(config.regions()[1].id).ok());
+    EXPECT_EQ(config.FindRegion("r1"), nullptr);
+    EXPECT_EQ(config.RemoveRegion("r1").code(), StatusCode::kNotFound);
+    ASSERT_EQ(config.regions().size(), 5u);
+    EXPECT_EQ(config.regions()[1].id, "r2");
+    ExpectLookupsFollowPositions(config);
+
+    // Grow a shifted region, re-add the removed id (it appends), remove
+    // the first region so every index shifts again.
+    ASSERT_TRUE(
+        config.AddPolygonToRegion("r4", MakeRectangle(0, 40, 5, 45)).ok());
+    EXPECT_EQ(config.FindRegion("r4")->geometry.polygons().size(), 2u);
+    ASSERT_TRUE(config.AddRegion(MakeRegion("r1", "blue", 5, 5, 9, 9)).ok());
+    EXPECT_EQ(config.FindRegion("r1"), &config.regions().back());
+    ASSERT_TRUE(config.RemoveRegion("r0").ok());
+    ExpectLookupsFollowPositions(config);
+    if (computed) ExpectMatchesRecompute(config);
+  }
+}
+
 TEST(ConfigurationTest, ComputePercentagesOnDemand) {
   Configuration config;
   ASSERT_TRUE(config.AddRegion(MakeRegion("b", "blue", 0, 0, 10, 10)).ok());

@@ -20,6 +20,7 @@
 #include "geometry/region.h"
 #include "gtest/gtest.h"
 #include "obs/memstats.h"
+#include "obs/metrics.h"
 #include "properties/random_instances.h"
 #include "properties/reference_relations.h"
 #include "util/random.h"
@@ -90,6 +91,10 @@ Region RandomMutationRegion(Rng* rng) {
 // The headline oracle: 500 scripts, digest checked after every mutation.
 TEST(DeltaEngineProperty, MutationScriptsMatchSerialLoopOn500Scripts) {
   const std::vector<EngineOptions> grid = OracleEngineOptions();
+  // Scripts whose store ends carrying patches: the differential must hold
+  // the patch path itself, not stores a rebuild just replaced, so small
+  // engines must stay under the rebuild floor.
+  size_t patched_scripts = 0;
   for (uint64_t seed = 0; seed < 500; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(0xDE17A000u + seed);
@@ -152,7 +157,9 @@ TEST(DeltaEngineProperty, MutationScriptsMatchSerialLoopOn500Scripts) {
                     applied.value().pairs_implicit)
           << "reresolved + implicit must cover the dirty set";
     }
+    if (engine.value().store().edited_rows() != 0) ++patched_scripts;
   }
+  EXPECT_GE(patched_scripts, 400u);
 }
 
 // Dirty-set completeness, checked structurally rather than via the digest:
@@ -190,12 +197,20 @@ TEST(DeltaEngineTest, TouchedCoversExplicitPairsOfMovedRegion) {
   }
 }
 
+#ifdef CARDIR_OBS_ENABLED
+uint64_t RebuildCount() {
+  return obs::CaptureMetrics().counter("delta.rebuilds");
+}
+#endif  // CARDIR_OBS_ENABLED
+
 // A long churn run on one engine: enough mutations to cycle the interval
-// indexes through several amortized rebuilds and the store through row
-// compactions, ending in a full pair-for-pair comparison (not just the
-// digest) against a fresh sweep store, and a digest check against the
-// serial Compute-CDR loop.
+// indexes and the store through several amortized rebuilds, ending in a
+// full pair-for-pair comparison (not just the digest) against a fresh
+// sweep store, and a digest check against the serial Compute-CDR loop.
 TEST(DeltaEngineTest, LongChurnEndsPairIdenticalToFreshStore) {
+#ifdef CARDIR_OBS_ENABLED
+  const uint64_t rebuilds_before = RebuildCount();
+#endif  // CARDIR_OBS_ENABLED
   Rng rng(0xC4C4u);
   std::vector<Region> mirror = SmallOverlapRegions(&rng, 90);
   auto engine = DeltaEngine::Build(mirror);
@@ -230,6 +245,151 @@ TEST(DeltaEngineTest, LongChurnEndsPairIdenticalToFreshStore) {
     ASSERT_EQ(maintained.Relation(i, j).mask(), relation.mask())
         << "pair (" << i << ", " << j << ")";
   });
+#ifdef CARDIR_OBS_ENABLED
+  // The churn crossed the store-rebuild threshold at least once.
+  EXPECT_GT(RebuildCount(), rebuilds_before);
+#endif  // CARDIR_OBS_ENABLED
+}
+
+// A sparse layout — a grid of ~1,000 equal, separated rectangles, so no
+// pair is explicit and the fresh store is ~41 bytes per region — under a
+// few hundred moves that each push one rectangle across into its
+// right-hand neighbour's cell and back. Each move patches only the pairs
+// against its old and new grid columns. The per-row
+// list headers the first patch allocates (24 bytes a row, more than a
+// third of this base) must not count against the rebuild budget, or every
+// patching move would rebuild the whole store.
+TEST(DeltaEngineTest, SparseLayoutMovesDoNotRebuildTheStore) {
+  constexpr int kRegions = 1024;
+  constexpr int kGrid = 32;
+  constexpr double kCell = 10.0;
+  std::vector<Region> originals;
+  for (int i = 0; i < kRegions; ++i) {
+    const double x = (i % kGrid) * kCell;
+    const double y = (i / kGrid) * kCell;
+    originals.emplace_back(MakeRectangle(x + 1.0, y + 1.0, x + kCell - 1.0,
+                                         y + kCell - 1.0));
+  }
+  std::vector<Region> mirror = originals;
+  auto engine = DeltaEngine::Build(mirror);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  ASSERT_EQ(engine.value().store().overlay_pairs(), 0u);
+#ifdef CARDIR_OBS_ENABLED
+  const uint64_t rebuilds_before = RebuildCount();
+#endif  // CARDIR_OBS_ENABLED
+
+  Rng rng(0x5BA4u);
+  size_t patching_moves = 0;
+  for (int m = 0; m < 300; ++m) {
+    const size_t id = rng.NextBelow(kRegions);
+    const double x = static_cast<double>(id % kGrid) * kCell;
+    const double y = static_cast<double>(id / kGrid) * kCell;
+    Region straddle(MakeRectangle(x + 0.5 * kCell, y + 2.0,
+                                  x + 1.5 * kCell, y + kCell - 2.0));
+    mirror[id] = straddle;
+    auto out = engine.value().Move(id, std::move(straddle));
+    ASSERT_TRUE(out.ok()) << out.status();
+    if (out->pairs_reresolved > 0) ++patching_moves;
+    mirror[id] = originals[id];
+    ASSERT_TRUE(engine.value().Move(id, originals[id]).ok());
+  }
+  EXPECT_GT(patching_moves, 100u);
+  EXPECT_EQ(engine.value().Digest(), ReferenceDigest(mirror));
+#ifdef CARDIR_OBS_ENABLED
+  EXPECT_LE(RebuildCount() - rebuilds_before, 1u);
+#endif  // CARDIR_OBS_ENABLED
+}
+
+// Soak: a ~2,000-region map layout under a grow / insert / grow / remove
+// edit mix (grows append a small polygon to an original region, half the
+// time straddling into the neighbouring cell; inserts land mid-cell;
+// removes take the oldest insert). Every 500 edits the maintained store
+// must stay within 1.5x the bytes of a fresh compute of the same geometry
+// — the patch layer is bounded by store rebuilds — and the run ends
+// digest-identical to that fresh store.
+TEST(DeltaEngineSoak, MapChurnStaysWithinOneAndAHalfFreshBytes) {
+#ifdef CARDIR_OBS_ENABLED
+  const uint64_t rebuilds_before = RebuildCount();
+#endif  // CARDIR_OBS_ENABLED
+  constexpr int kOriginals = 2000;
+  constexpr int kEdits = 5200;
+  Rng rng(0x50A4u);
+  std::vector<Region> mirror = SmallMapRegions(&rng, kOriginals);
+  const int grid =
+      1 + static_cast<int>(std::sqrt(static_cast<double>(kOriginals)));
+  const double cell = 1000.0 / grid;
+  auto engine = DeltaEngine::Build(mirror);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+
+  const auto star_in = [&rng](double cx, double cy, double half) {
+    RegionGenOptions options;
+    options.bounds = Box(cx - half, cy - half, cx + half, cy + half);
+    return RandomRegion(&rng, options);
+  };
+  const auto insert = [&]() {
+    const int target = static_cast<int>(rng.NextBelow(kOriginals));
+    const double x = (target % grid + 0.5) * cell;
+    const double y = (target / grid + 0.5) * cell;
+    Region region = star_in(x, y, 0.3 * cell);
+    mirror.push_back(region);
+    ASSERT_TRUE(engine.value().Insert(std::move(region)).ok());
+  };
+  const auto grow = [&]() {
+    const int target = static_cast<int>(rng.NextBelow(kOriginals));
+    const int cx = target % grid;
+    const int cy = target / grid;
+    const double half = 0.15 * cell;
+    double x = rng.NextDouble(cx * cell + half, (cx + 1) * cell - half);
+    double y = rng.NextDouble(cy * cell + half, (cy + 1) * cell - half);
+    if (rng.NextBelow(2) == 0) {
+      if (rng.NextBelow(2) == 0) {
+        x = (cx + 1) * cell;
+      } else {
+        y = (cy + 1) * cell;
+      }
+    }
+    Region& region = mirror[static_cast<size_t>(target)];
+    region.AddPolygon(star_in(x, y, half).polygons().front());
+    ASSERT_TRUE(
+        engine.value().Move(static_cast<size_t>(target), region).ok());
+  };
+  const auto remove_oldest_insert = [&]() {
+    // Inserts append and removes take the oldest, so the oldest surviving
+    // insert always sits right after the originals.
+    mirror.erase(mirror.begin() + kOriginals);
+    ASSERT_TRUE(engine.value().Remove(kOriginals).ok());
+  };
+
+  insert();
+  for (int edit = 1; edit <= kEdits; ++edit) {
+    switch (edit % 4) {
+      case 1:
+      case 3:
+        grow();
+        break;
+      case 2:
+        insert();
+        break;
+      default:
+        remove_oldest_insert();
+        break;
+    }
+    if (HasFatalFailure()) return;
+    if (edit % 500 == 0) {
+      SCOPED_TRACE("edit " + std::to_string(edit));
+      auto fresh = ComputeRelationStore(mirror);
+      ASSERT_TRUE(fresh.ok()) << fresh.status();
+      ASSERT_LE(static_cast<double>(engine.value().store().bytes()),
+                1.5 * static_cast<double>(fresh->bytes()));
+    }
+  }
+
+  auto fresh = ComputeRelationStore(mirror);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_EQ(engine.value().Digest(), fresh->Digest());
+#ifdef CARDIR_OBS_ENABLED
+  EXPECT_GT(RebuildCount(), rebuilds_before);
+#endif  // CARDIR_OBS_ENABLED
 }
 
 TEST(DeltaEngineTest, AdoptedStoreNeedsNoRecompute) {

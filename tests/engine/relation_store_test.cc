@@ -239,7 +239,7 @@ TEST(RelationStoreEdgeCases, InvalidRegionIsReported) {
 }
 
 // ---- Mutation-layer shadow model. The store's mutation API (SetRegionBox
-// / AppendRegion / ReplaceRow / PatchPair / EraseRegion) accepts *any*
+// / AppendRegion / PatchPair / EraseRegion) accepts *any*
 // profiled box, so — unlike the DeltaEngine, whose inputs are validated
 // regions and therefore never degenerate — this harness drives degenerate
 // boxes in and out of the overlay directly. The shadow is authoritative:
@@ -326,66 +326,57 @@ Box RandomShadowBox(Rng* rng) {
   return Box(x, y, x + w, y + h);
 }
 
+// Re-draws the masks of every explicit pair in region id's row and column
+// and patches each pair whose state may have changed: `was` holds the
+// pre-mutation explicitness of (id, j) at 2j and of (j, id) at 2j + 1.
+void PatchShadowRowAndColumn(RelationStore* store, ShadowModel* shadow,
+                             size_t id, const std::vector<uint8_t>& was,
+                             Rng* rng) {
+  const size_t n = shadow->boxes.size();
+  for (size_t j = 0; j < n; ++j) {
+    if (j == id) continue;
+    for (size_t side = 0; side < 2; ++side) {
+      const size_t row = side == 0 ? id : j;
+      const size_t col = side == 0 ? j : id;
+      const bool was_explicit = was[2 * j + side] != 0;
+      if (shadow->Explicit(row, col)) {
+        const uint16_t mask = RandomMask(rng);
+        shadow->masks[{row, col}] = mask;
+        store->PatchPair(row, col, was_explicit, true, mask);
+      } else {
+        shadow->masks.erase({row, col});
+        if (was_explicit) store->PatchPair(row, col, true, false, 0);
+      }
+    }
+  }
+}
+
 // Applies the caller side of the mutation contract for "region id's box
-// becomes `box`": sample old (j, id) explicitness, move the profile,
-// rewrite row id wholesale, patch column id everywhere it changed.
+// becomes `box`": sample old explicitness in row and column id, move the
+// profile, patch both wherever they changed.
 void ApplyShadowSetBox(RelationStore* store, ShadowModel* shadow, size_t id,
                        const Box& box, Rng* rng) {
   const size_t n = shadow->boxes.size();
-  std::vector<uint8_t> was(n, 0);
+  std::vector<uint8_t> was(2 * n, 0);
   for (size_t j = 0; j < n; ++j) {
-    if (j != id && shadow->Explicit(j, id)) was[j] = 1;
+    if (j == id) continue;
+    was[2 * j] = shadow->Explicit(id, j) ? 1 : 0;
+    was[2 * j + 1] = shadow->Explicit(j, id) ? 1 : 0;
   }
   shadow->SetBox(id, box);
   store->SetRegionBox(id, box);
-  std::vector<uint32_t> cols;
-  std::vector<uint16_t> row_masks;
-  for (size_t j = 0; j < n; ++j) {
-    if (j == id) continue;
-    if (shadow->Explicit(id, j)) {
-      const uint16_t mask = RandomMask(rng);
-      shadow->masks[{id, j}] = mask;
-      cols.push_back(static_cast<uint32_t>(j));
-      row_masks.push_back(mask);
-    } else {
-      shadow->masks.erase({id, j});
-    }
-    if (shadow->Explicit(j, id)) {
-      const uint16_t mask = RandomMask(rng);
-      shadow->masks[{j, id}] = mask;
-      store->PatchPair(j, id, was[j] != 0, true, mask);
-    } else {
-      shadow->masks.erase({j, id});
-      if (was[j] != 0) store->PatchPair(j, id, true, false, 0);
-    }
-    store->MaybeCompactRow(j);
-  }
-  store->ReplaceRow(id, std::move(cols), std::move(row_masks));
+  PatchShadowRowAndColumn(store, shadow, id, was, rng);
 }
 
+// The appended row and column have no base slots: nothing was explicit.
 void ApplyShadowAppend(RelationStore* store, ShadowModel* shadow,
                        const Box& box, Rng* rng) {
   const size_t id = shadow->boxes.size();
   shadow->boxes.push_back({});
   shadow->SetBox(id, box);
   store->AppendRegion(box);
-  std::vector<uint32_t> cols;
-  std::vector<uint16_t> row_masks;
-  for (size_t j = 0; j < id; ++j) {
-    if (shadow->Explicit(id, j)) {
-      const uint16_t mask = RandomMask(rng);
-      shadow->masks[{id, j}] = mask;
-      cols.push_back(static_cast<uint32_t>(j));
-      row_masks.push_back(mask);
-    }
-    if (shadow->Explicit(j, id)) {
-      const uint16_t mask = RandomMask(rng);
-      shadow->masks[{j, id}] = mask;
-      store->PatchPair(j, id, false, true, mask);  // Column postdates base.
-    }
-    store->MaybeCompactRow(j);
-  }
-  store->ReplaceRow(id, std::move(cols), std::move(row_masks));
+  PatchShadowRowAndColumn(store, shadow, id,
+                          std::vector<uint8_t>(2 * (id + 1), 0), rng);
 }
 
 void ApplyShadowErase(RelationStore* store, ShadowModel* shadow, size_t id) {
@@ -445,11 +436,13 @@ TEST(RelationStoreMutation, ShadowModelScriptsWithDegenerateBoxes) {
   }
 }
 
-// Compaction path: enough columns mutate that rows outgrow the
-// kCompactPatches=64 patch-list threshold and convert to loose rows; the
-// script then keeps mutating so the loose-row edit paths (in-place
-// PatchPair, EraseRegion renumbering) are exercised too.
-TEST(RelationStoreMutation, PatchListsCompactAndStayCorrect) {
+// Long patch lists: nearly every row's column set churns, so patch lists
+// grow to many entries per row (consuming, non-consuming and ghost
+// entries interleaved) and keep being edited in place and renumbered by
+// EraseRegion; the store has no bound of its own on them (the DeltaEngine
+// rebuilds instead). Also checks that the arena recharge tracks the
+// footprint, patch lists included.
+TEST(RelationStoreMutation, LongPatchListsStayCorrect) {
   Rng rng(0xC03Au);
   const int n = 80;
   const std::vector<Region> regions = SmallOverlapRegions(&rng, n);
@@ -472,12 +465,14 @@ TEST(RelationStoreMutation, PatchListsCompactAndStayCorrect) {
       ApplyShadowErase(&store, &shadow, rng.NextBelow(shadow.boxes.size()));
     } else {
       // Mostly box moves over a shared canvas: nearly every row's column
-      // set churns, so patch lists grow past the compaction threshold.
+      // set churns, so patch lists grow long.
       ApplyShadowSetBox(&store, &shadow, rng.NextBelow(shadow.boxes.size()),
                         RandomShadowBox(&rng), &rng);
     }
   }
   EXPECT_GT(store.edited_rows(), 0u);
+  // Long lists: more than 16 eight-byte entries per edited row on average.
+  EXPECT_GT(store.patch_bytes(), store.edited_rows() * 16 * 8);
   ExpectMatchesShadow(store, shadow);
 
 #ifdef CARDIR_OBS_ENABLED
@@ -495,6 +490,15 @@ TEST(RelationStoreMutation, PatchListsCompactAndStayCorrect) {
   }
   EXPECT_EQ(arena.LiveBytes(), live_after);
 #endif  // CARDIR_OBS_ENABLED
+
+  // A move hands the patch layer over whole; the source reads empty.
+  const size_t bytes_before_move = store.bytes();
+  const size_t patch_bytes_before_move = store.patch_bytes();
+  RelationStore moved = std::move(store);
+  EXPECT_EQ(moved.bytes(), bytes_before_move);
+  EXPECT_EQ(moved.patch_bytes(), patch_bytes_before_move);
+  EXPECT_EQ(store.patch_bytes(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(store.bytes(), 0u);        // NOLINT(bugprone-use-after-move)
 }
 
 #ifdef CARDIR_OBS_ENABLED

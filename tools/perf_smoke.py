@@ -18,18 +18,27 @@ Usage:
   tools/perf_smoke.py --baseline BENCH_engine.json --fresh fresh.json \
       [--threshold 1.30] [--min-ms 5.0] [--mem-threshold 1.50] [--median]
 
+Soak gate: every fresh engine_delta_soak row (bench_engine --soak-moves)
+must keep its store within 1.5x a fresh sweep's bytes, and its
+end-of-soak median move within 1.5x its start median. These bounds are
+absolute, so they apply whether or not the baseline has the row.
+
 --median gates the median ratio across all matched rows instead of each
 row individually — the right shape for tight bounds (e.g. the 2% profiler
 overhead gate) where single-row scheduler noise exceeds the threshold.
 
 Exit status: 0 when every matched row is within the thresholds, 1 on any
-regression (time or memory), 2 on bad input.
+regression (time, memory or soak), 2 on bad input.
 """
 
 import argparse
 import json
 import statistics
 import sys
+
+# Bounds on every fresh engine_delta_soak row (see the docstring).
+SOAK_MAX_BYTES_RATIO = 1.50
+SOAK_MAX_DRIFT = 1.50
 
 
 def load_runs(path):
@@ -172,7 +181,29 @@ def main():
               f"beyond {args.mem_threshold:.2f}x:", file=sys.stderr)
         for key, ratio in mem_regressions:
             print(f"  {key}: {ratio:.2f}x", file=sys.stderr)
-    if regressions or mem_regressions:
+    soak_failures = []
+    for key in sorted(fresh):
+        row = fresh[key]
+        ratio = row.get("soak_bytes_ratio")
+        if ratio is None:
+            continue
+        start, end = row.get("soak_start_ms"), row.get("soak_end_ms")
+        drift = end / start if start else float("inf")
+        print(f"soak {key}: bytes ratio {ratio:.3f} "
+              f"(bound {SOAK_MAX_BYTES_RATIO:.2f}), end/start median "
+              f"{drift:.2f} (bound {SOAK_MAX_DRIFT:.2f}), "
+              f"{row.get('soak_rebuilds')} rebuilds")
+        if ratio > SOAK_MAX_BYTES_RATIO:
+            soak_failures.append(f"{key}: store bytes {ratio:.3f}x fresh")
+        if drift > SOAK_MAX_DRIFT:
+            soak_failures.append(f"{key}: end median {drift:.2f}x start")
+    if soak_failures:
+        print(f"\nperf_smoke: {len(soak_failures)} soak bound(s) exceeded:",
+              file=sys.stderr)
+        for failure in soak_failures:
+            print(f"  {failure}", file=sys.stderr)
+
+    if regressions or mem_regressions or soak_failures:
         sys.exit(1)
     print(f"\nperf_smoke: all {len(matched)} matched rows within "
           f"{args.threshold:.2f}x (memory within {args.mem_threshold:.2f}x)")
