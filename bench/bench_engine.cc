@@ -521,7 +521,7 @@ int Main(int argc, char** argv) {
     }
 
     // Delta maintenance (engine/delta_engine.h): single-mutation latency
-    // against a store adopted from one sweep build. Each row times
+    // against an engine built with one sweep. Each row times
     // `kDeltaMutations` mutations of one kind and reports the median (ms)
     // and 99th percentile (p99_ms) of the distribution — best-of-N is the
     // wrong statistic for latency, so --repeat does not apply here. The
@@ -532,7 +532,9 @@ int Main(int argc, char** argv) {
     // move vs recomputing the configuration from scratch.
     {
       constexpr int kDeltaMutations = 200;
-      auto built = DeltaEngine::Build(regions);
+      // The engine reads this geometry; each mutation updates it first.
+      std::vector<Region> current = regions;
+      auto built = DeltaEngine::Build(current);
       if (!built.ok()) {
         std::cerr << "delta engine build failed: " << built.status() << "\n";
         std::exit(1);
@@ -576,11 +578,11 @@ int Main(int argc, char** argv) {
         double total_ms = 0;
         for (int m = 0; m < kDeltaMutations; ++m) {
           const size_t id = delta_rng.NextBelow(engine.regions());
-          Region moved = Translated(engine.region(id),
-                                    delta_rng.NextDouble(-40.0, 40.0),
-                                    delta_rng.NextDouble(-40.0, 40.0));
+          current[id] = Translated(current[id],
+                                   delta_rng.NextDouble(-40.0, 40.0),
+                                   delta_rng.NextDouble(-40.0, 40.0));
           const auto start = std::chrono::steady_clock::now();
-          const auto applied = engine.Move(id, std::move(moved));
+          const auto applied = engine.Move(id, current);
           const double ms = MsSince(start);
           if (!applied.ok()) {
             std::cerr << "delta move failed: " << applied.status() << "\n";
@@ -600,11 +602,11 @@ int Main(int argc, char** argv) {
         double total_ms = 0;
         for (int m = 0; m < kDeltaMutations; ++m) {
           const size_t id = delta_rng.NextBelow(engine.regions());
-          Region fresh = Translated(engine.region(id),
-                                    delta_rng.NextDouble(-60.0, 60.0),
-                                    delta_rng.NextDouble(-60.0, 60.0));
+          current.push_back(Translated(current[id],
+                                       delta_rng.NextDouble(-60.0, 60.0),
+                                       delta_rng.NextDouble(-60.0, 60.0)));
           const auto start = std::chrono::steady_clock::now();
-          const auto applied = engine.Insert(std::move(fresh));
+          const auto applied = engine.Insert(current);
           const double ms = MsSince(start);
           if (!applied.ok()) {
             std::cerr << "delta insert failed: " << applied.status() << "\n";
@@ -625,8 +627,9 @@ int Main(int argc, char** argv) {
         double total_ms = 0;
         for (int m = 0; m < kDeltaMutations; ++m) {
           const size_t id = delta_rng.NextBelow(engine.regions());
+          current.erase(current.begin() + static_cast<ptrdiff_t>(id));
           const auto start = std::chrono::steady_clock::now();
-          const auto applied = engine.Remove(id);
+          const auto applied = engine.Remove(id, current);
           const double ms = MsSince(start);
           if (!applied.ok()) {
             std::cerr << "delta remove failed: " << applied.status() << "\n";
@@ -648,11 +651,6 @@ int Main(int argc, char** argv) {
         // included, went from 3 to 48 in 8k moves. The geometry ends where
         // it starts, so the fresh reference store is swept before the
         // window opens and only its digest and bytes are kept.
-        std::vector<Region> current;
-        current.reserve(engine.regions());
-        for (size_t i = 0; i < engine.regions(); ++i) {
-          current.push_back(engine.region(i));
-        }
         uint64_t fresh_digest = 0;
         size_t fresh_bytes = 0;
         {
@@ -670,13 +668,14 @@ int Main(int argc, char** argv) {
         double total_ms = 0;
         for (int m = 0; m < soak_moves; m += 2) {
           const size_t id = delta_rng.NextBelow(engine.regions());
-          Region displaced = Translated(current[id],
+          Region home = current[id];
+          Region displaced = Translated(home,
                                         delta_rng.NextDouble(-40.0, 40.0),
                                         delta_rng.NextDouble(-40.0, 40.0));
-          for (Region* geometry : {&displaced, &current[id]}) {
-            Region moved = *geometry;
+          for (Region* geometry : {&displaced, &home}) {
+            current[id] = std::move(*geometry);
             const auto start = std::chrono::steady_clock::now();
-            const auto applied = engine.Move(id, std::move(moved));
+            const auto applied = engine.Move(id, current);
             const double ms = MsSince(start);
             if (!applied.ok()) {
               std::cerr << "delta soak move failed: " << applied.status()

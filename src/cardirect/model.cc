@@ -20,15 +20,12 @@ Status Configuration::AddRegion(AnnotatedRegion region) {
     return Status::InvalidArgument("region '" + region.id +
                                    "': " + status.message());
   }
-  if (relation_store() != nullptr) {
-    // Keep the computed store complete: resolve the new region's pairs
-    // incrementally instead of invalidating n·(n−1) relations.
-    PromoteToDelta();
-    Result<DeltaResult> applied = delta_->Insert(region.geometry);
-    if (!applied.ok()) return applied.status();
-  }
   index_.emplace(region.id, regions_.size());
   regions_.push_back(std::move(region));
+  // Keep the computed store complete: resolve the new region's pairs
+  // incrementally instead of invalidating n·(n−1) relations. The engine
+  // re-runs the Validate above, so it cannot refuse the region.
+  if (engine_.has_value()) return engine_->Insert(geometry()).status();
   return Status::Ok();
 }
 
@@ -37,27 +34,16 @@ Status Configuration::RemoveRegion(const std::string& id) {
   if (index == regions_.size()) {
     return Status::NotFound("no region with id '" + id + "'");
   }
-  if (relation_store() != nullptr) {
-    // Delta-maintain the computed store: only the removed region's pairs
-    // go, everything else keeps its stored relation.
-    PromoteToDelta();
-    Result<DeltaResult> applied = delta_->Remove(index);
-    if (!applied.ok()) return applied.status();
-  } else {
-    relations_.erase(
-        std::remove_if(relations_.begin(), relations_.end(),
-                       [&id](const RelationRecord& rec) {
-                         return rec.primary_id == id ||
-                                rec.reference_id == id;
-                       }),
-        relations_.end());
-  }
-  // `id` may alias the removed region's own id: unmap it first.
+  // `id` may alias the removed region's own id: use it before the erase.
+  DropRecordsOf(id);
   index_.erase(id);
   for (auto& entry : index_) {
     if (entry.second > index) --entry.second;
   }
   regions_.erase(regions_.begin() + static_cast<ptrdiff_t>(index));
+  // Delta-maintain the computed store: only the removed region's pairs
+  // go, everything else keeps its stored relation.
+  if (engine_.has_value()) return engine_->Remove(index, geometry()).status();
   return Status::Ok();
 }
 
@@ -69,23 +55,30 @@ Status Configuration::AddPolygonToRegion(const std::string& id,
   }
   polygon.EnsureClockwise();
   CARDIR_RETURN_IF_ERROR(polygon.Validate());
-  Region& geometry = regions_[index].geometry;
-  geometry.AddPolygon(std::move(polygon));
-  if (relation_store() != nullptr) {
-    // Re-resolve just this region's dirty pairs against the grown geometry.
-    PromoteToDelta();
-    Result<DeltaResult> applied = delta_->Move(index, geometry);
-    if (!applied.ok()) return applied.status();
-    return Status::Ok();
-  }
-  // XML-loaded records involving this region are stale now.
+  regions_[index].geometry.AddPolygon(std::move(polygon));
+  // Re-resolve just this region's dirty pairs against the grown geometry;
+  // XML-loaded records involving it are stale now.
+  DropRecordsOf(id);
+  if (engine_.has_value()) return engine_->Move(index, geometry()).status();
+  return Status::Ok();
+}
+
+RegionsView Configuration::geometry() const {
+  return RegionsView(this, regions_.size(),
+                     [](const void* self, size_t i) -> const Region& {
+                       return static_cast<const Configuration*>(self)
+                           ->regions_[i]
+                           .geometry;
+                     });
+}
+
+void Configuration::DropRecordsOf(const std::string& id) {
   relations_.erase(
       std::remove_if(relations_.begin(), relations_.end(),
                      [&id](const RelationRecord& rec) {
                        return rec.primary_id == id || rec.reference_id == id;
                      }),
       relations_.end());
-  return Status::Ok();
 }
 
 const AnnotatedRegion* Configuration::FindRegion(const std::string& id) const {
@@ -104,36 +97,15 @@ std::vector<const AnnotatedRegion*> Configuration::RegionsByColor(
 
 Status Configuration::ComputeAllRelations(const EngineOptions& options,
                                           EngineStats* stats) {
-  std::vector<const Region*> geometries;
-  geometries.reserve(regions_.size());
-  for (const AnnotatedRegion& region : regions_) {
-    geometries.push_back(&region.geometry);
-  }
   // Sweep join instead of all-pairs: the result is held as profile +
   // explicit-pair overlay (indices parallel regions_), not as n·(n−1)
   // id-keyed records — at engine scale the records themselves were the
   // dominant allocation.
-  Result<RelationStore> store =
-      ComputeRelationStore(geometries, options, stats);
-  if (!store.ok()) return store.status();
-  store_ = std::move(*store);
-  engine_options_ = options;
-  delta_.reset();
+  Result<DeltaEngine> engine = DeltaEngine::Build(geometry(), options, stats);
+  if (!engine.ok()) return engine.status();
+  engine_ = std::move(engine.value());
   relations_.clear();
   return Status::Ok();
-}
-
-void Configuration::PromoteToDelta() {
-  if (delta_.has_value() || !store_.has_value()) return;
-  std::vector<Region> geometries;
-  geometries.reserve(regions_.size());
-  for (const AnnotatedRegion& region : regions_) {
-    geometries.push_back(region.geometry);
-  }
-  delta_.emplace(
-      DeltaEngine::Adopt(std::move(*store_), std::move(geometries),
-                         engine_options_));
-  store_.reset();
 }
 
 std::optional<CardinalRelation> Configuration::StoredRelation(

@@ -52,16 +52,15 @@ class Configuration {
   const std::vector<AnnotatedRegion>& regions() const { return regions_; }
 
   /// The *explicit* relation records — ones loaded from XML. Computed
-  /// relations live in the RelationStore instead (45 bytes/region + 2 bytes
-  /// per crossing pair, vs ~56 bytes per pair here — n·(n−1) records defeat
-  /// the engine's sub-quadratic memory); consumers that want "all stored
-  /// relations" regardless of provenance iterate ForEachRelation / count
-  /// relation_count.
+  /// relations live in the DeltaEngine's RelationStore instead (45
+  /// bytes/region + 2 bytes per crossing pair, vs ~56 bytes per pair here —
+  /// n·(n−1) records defeat the engine's sub-quadratic memory); consumers
+  /// that want "all stored relations" regardless of provenance iterate
+  /// ForEachRelation / count relation_count.
   const std::vector<RelationRecord>& relations() const { return relations_; }
 
-  /// Stored relations, from whichever representation holds them: the
-  /// computed (possibly delta-maintained) RelationStore when present, the
-  /// explicit records otherwise.
+  /// Stored relations, from whichever form holds them: the computed
+  /// RelationStore when present, the explicit records otherwise.
   size_t relation_count() const {
     const RelationStore* store = relation_store();
     return store != nullptr ? store->pair_count() : relations_.size();
@@ -87,17 +86,11 @@ class Configuration {
     }
   }
 
-  /// The computed relation store — freshly computed or delta-maintained —
-  /// or nullptr when relations were loaded from XML (telemetry + tests).
+  /// The computed relation store, kept current across edits by the
+  /// DeltaEngine, or nullptr when relations were not computed (or were
+  /// loaded from XML).
   const RelationStore* relation_store() const {
-    if (delta_.has_value()) return &delta_->store();
-    return store_.has_value() ? &*store_ : nullptr;
-  }
-
-  /// The incremental engine backing the store, engaged once a computed
-  /// configuration is mutated (test/telemetry hook).
-  const DeltaEngine* delta_engine() const {
-    return delta_.has_value() ? &*delta_ : nullptr;
+    return engine_.has_value() ? &engine_->store() : nullptr;
   }
 
   /// Adds a region; fails on duplicate/empty id or invalid geometry.
@@ -129,11 +122,12 @@ class Configuration {
   /// Recomputes all pairwise cardinal direction relations and stores them
   /// (the paper's "compute their relationships" action — Fig. 12) as a
   /// RelationStore covering the n·(n−1) ordered pairs in canonical
-  /// (primary, reference) order. Runs on the sweep-join engine
-  /// (src/engine/sweep_join.cc): implicit box resolution plus an optional
-  /// thread pool; the stored relations are identical for every
-  /// `options.threads` value. Replaces any explicit records. `stats`, when
-  /// non-null, receives the engine instrumentation.
+  /// (primary, reference) order, kept current across edits by a DeltaEngine
+  /// built with one run of the sweep join (src/engine/sweep_join.cc):
+  /// implicit box resolution plus an optional thread pool; the stored
+  /// relations are identical for every `options.threads` value. Replaces
+  /// any explicit records. `stats`, when non-null, receives the engine
+  /// instrumentation.
   Status ComputeAllRelations(const EngineOptions& options = EngineOptions(),
                              EngineStats* stats = nullptr);
 
@@ -148,18 +142,19 @@ class Configuration {
       const std::string& primary_id, const std::string& reference_id) const;
 
   /// Replaces the stored relations with explicit records (used by the XML
-  /// reader). Drops any computed store / delta engine.
+  /// reader). Drops any computed relations.
   void SetRelations(std::vector<RelationRecord> relations) {
     relations_ = std::move(relations);
-    store_.reset();
-    delta_.reset();
+    engine_.reset();
   }
 
  private:
-  // Hands the computed store (if any) to a DeltaEngine so a mutation can
-  // update it in place instead of recomputing or dropping it. No-op when a
-  // delta engine is already active or nothing was computed.
-  void PromoteToDelta();
+  // The regions' geometry in regions_ order, lent to one engine call.
+  RegionsView geometry() const;
+
+  // Drops the explicit records that involve region `id` (stale after an
+  // edit of that region; a computed configuration holds none).
+  void DropRecordsOf(const std::string& id);
 
   // Index of the region with `id` in regions_, or regions_.size().
   size_t IndexOf(const std::string& id) const {
@@ -171,16 +166,12 @@ class Configuration {
   std::string image_file_;
   std::vector<AnnotatedRegion> regions_;
   std::unordered_map<std::string, size_t> index_;  // id → regions_ index.
-  // Stored relations: at most one representation is active. `store_` right
-  // after ComputeAllRelations (indices parallel regions_); `delta_` once a
-  // computed configuration is mutated (it owns the maintained store);
-  // `relations_` after an XML load.
+  // Stored relations: at most one form is active. `engine_` after
+  // ComputeAllRelations (its store's indices parallel regions_, and it
+  // reads geometry() instead of holding a copy); `relations_` after an
+  // XML load.
   std::vector<RelationRecord> relations_;
-  std::optional<RelationStore> store_;
-  std::optional<DeltaEngine> delta_;
-  // The options store_ was computed with; the delta engine's store
-  // rebuilds reuse them.
-  EngineOptions engine_options_;
+  std::optional<DeltaEngine> engine_;
 };
 
 }  // namespace cardir

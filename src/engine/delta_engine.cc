@@ -1,7 +1,6 @@
 #include "engine/delta_engine.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdint>
 #include <mutex>
 #include <utility>
@@ -21,14 +20,13 @@ DeltaEngine::~DeltaEngine() {
 
 DeltaEngine::DeltaEngine(const DeltaEngine& other) {
   const std::lock_guard<std::mutex> lock(other.mu_);
-  regions_ = other.regions_;
   store_ = other.store_;
   x_index_ = other.x_index_;
   y_index_ = other.y_index_;
   degenerate_ids_ = other.degenerate_ids_;
   poly_ = other.poly_;
   options_ = other.options_;
-  scratch_.bits.Reset(regions_.size());
+  scratch_.bits.Reset(store_.regions());
   RechargeAux();
 }
 
@@ -43,8 +41,7 @@ DeltaEngine& DeltaEngine::operator=(const DeltaEngine& other) {
 // Moving from an engine that another thread is mutating is a caller bug, so
 // the move operations skip the (throwing) lock and stay noexcept.
 DeltaEngine::DeltaEngine(DeltaEngine&& other) noexcept
-    : regions_(std::move(other.regions_)),
-      store_(std::move(other.store_)),
+    : store_(std::move(other.store_)),
       x_index_(std::move(other.x_index_)),
       y_index_(std::move(other.y_index_)),
       degenerate_ids_(std::move(other.degenerate_ids_)),
@@ -56,7 +53,6 @@ DeltaEngine::DeltaEngine(DeltaEngine&& other) noexcept
 DeltaEngine& DeltaEngine::operator=(DeltaEngine&& other) noexcept {
   if (this != &other) {
     if (aux_charged_ != 0) CARDIR_MEMSTAT_FREE("delta_engine", aux_charged_);
-    regions_ = std::move(other.regions_);
     store_ = std::move(other.store_);
     x_index_ = std::move(other.x_index_);
     y_index_ = std::move(other.y_index_);
@@ -69,24 +65,28 @@ DeltaEngine& DeltaEngine::operator=(DeltaEngine&& other) noexcept {
   return *this;
 }
 
-Result<DeltaEngine> DeltaEngine::Build(std::vector<Region> regions,
-                                       const EngineOptions& options,
-                                       EngineStats* stats) {
-  Result<RelationStore> store = ComputeRelationStore(regions, options, stats);
-  if (!store.ok()) return store.status();
-  return Adopt(std::move(store.value()), std::move(regions), options);
+namespace {
+
+std::vector<const Region*> Pointers(RegionsView regions) {
+  std::vector<const Region*> pointers;
+  pointers.reserve(regions.size());
+  for (size_t i = 0; i < regions.size(); ++i) pointers.push_back(&regions[i]);
+  return pointers;
 }
 
-DeltaEngine DeltaEngine::Adopt(RelationStore store,
-                               std::vector<Region> regions,
-                               const EngineOptions& options) {
+}  // namespace
+
+Result<DeltaEngine> DeltaEngine::Build(RegionsView regions,
+                                       const EngineOptions& options,
+                                       EngineStats* stats) {
+  const std::vector<const Region*> pointers = Pointers(regions);
+  Result<RelationStore> store = ComputeRelationStore(pointers, options, stats);
+  if (!store.ok()) return store.status();
   DeltaEngine engine;
-  engine.store_ = std::move(store);
-  engine.regions_ = std::move(regions);
+  engine.store_ = std::move(store.value());
   engine.options_ = options;
   const RegionProfile& profile = engine.store_.profile_;
   const size_t n = profile.size();
-  assert(engine.regions_.size() == n);
   for (size_t i = 0; i < n; ++i) {
     if (profile.cross_override[i] != 0) {
       engine.degenerate_ids_.push_back(static_cast<uint32_t>(i));
@@ -94,9 +94,6 @@ DeltaEngine DeltaEngine::Adopt(RelationStore store,
   }
   engine.x_index_.Build(profile.min_x, profile.max_x, profile.cross_override);
   engine.y_index_.Build(profile.min_y, profile.max_y, profile.cross_override);
-  std::vector<const Region*> pointers;
-  pointers.reserve(n);
-  for (const Region& region : engine.regions_) pointers.push_back(&region);
   engine.poly_.Build(pointers);
   engine.scratch_.bits.Reset(n);
   engine.RechargeAux();
@@ -109,7 +106,7 @@ void DeltaEngine::GatherAffected(size_t id, bool all_rows, bool use_old,
                                  bool use_new, const Box& new_box) {
   DeltaScratch& ws = scratch_;
   ws.affected.clear();
-  const size_t n = regions_.size();
+  const size_t n = store_.regions();
   if (all_rows) {
     // A degenerate box (old or new) pairs explicitly with everyone; the
     // index queries can't bound that, so the whole id space is dirty.
@@ -146,7 +143,8 @@ void DeltaEngine::SetDegenerate(size_t id, bool degenerate) {
   }
 }
 
-void DeltaEngine::ResolveDirty(size_t id, DeltaResult* result) {
+void DeltaEngine::ResolveDirty(size_t id, RegionsView regions,
+                               DeltaResult* result) {
   DeltaScratch& ws = scratch_;
   const RegionProfile& profile = store_.profile_;
   CdrMetricsDelta cdr_metrics;
@@ -164,7 +162,7 @@ void DeltaEngine::ResolveDirty(size_t id, DeltaResult* result) {
         ++result->pairs_implicit;
       } else {
         const uint16_t mask =
-            ResolveExplicitMask(code, regions_[row], profile.BoxAt(col),
+            ResolveExplicitMask(code, regions[row], profile.BoxAt(col),
                                 profile, row, col, poly_, &cdr_metrics,
                                 &ws.cdr);
         store_.PatchPair(row, col, was, /*now_explicit=*/true, mask);
@@ -179,31 +177,42 @@ void DeltaEngine::ResolveDirty(size_t id, DeltaResult* result) {
   CARDIR_METRIC_COUNT("delta.pairs_implicit", result->pairs_implicit);
 }
 
-void DeltaEngine::MaybeRebuildStore() {
-  if (store_.patch_bytes() <=
-      std::max(kRebuildFloorBytes, store_.base_bytes() / kRebuildDivisor)) {
-    return;
+void DeltaEngine::FinishApply(RegionsView regions) {
+  const auto budget = [this] {
+    return std::max(kRebuildFloorBytes, store_.base_bytes() / kRebuildDivisor);
+  };
+  if (store_.patch_bytes() > budget()) {
+    const size_t bytes_before = store_.bytes();
+    // Free the churned store first: the fresh sweep then peaks at one
+    // store's footprint, not two.
+    store_ = RelationStore();
+    Result<RelationStore> fresh =
+        ComputeRelationStore(Pointers(regions), options_);
+    // The owner's geometry passed Region::Validate on its way in, the one
+    // condition ComputeRelationStore rejects.
+    CARDIR_CHECK(fresh.ok()) << "delta store rebuild failed: "
+                             << fresh.status().ToString();
+    store_ = std::move(fresh.value());
+    CARDIR_METRIC_COUNT("delta.rebuilds", 1);
+    CARDIR_RECORD_EVENT(kDelta, "delta.rebuild", bytes_before,
+                        store_.bytes());
   }
-  const size_t bytes_before = store_.bytes();
-  // Free the churned store first: the fresh sweep then peaks at one
-  // store's footprint, not two.
-  store_ = RelationStore();
-  Result<RelationStore> fresh = ComputeRelationStore(regions_, options_);
-  // regions_ holds only geometry that passed Region::Validate, the one
-  // condition ComputeRelationStore rejects.
-  CARDIR_CHECK(fresh.ok()) << "delta store rebuild failed: "
-                           << fresh.status().ToString();
-  store_ = std::move(fresh.value());
-  CARDIR_METRIC_COUNT("delta.rebuilds", 1);
-  CARDIR_RECORD_EVENT(kDelta, "delta.rebuild", bytes_before, store_.bytes());
+  store_.RechargeMem();
+  RechargeAux();
+  CARDIR_METRIC_GAUGE_SET("delta.patch_bytes", store_.patch_bytes());
+  CARDIR_METRIC_GAUGE_SET("delta.rebuild_budget_bytes", budget());
 }
 
-Result<DeltaResult> DeltaEngine::Insert(Region region) {
+Result<DeltaResult> DeltaEngine::Insert(RegionsView regions) {
   const std::lock_guard<std::mutex> lock(mu_);
   const uint64_t start_us = obs::TraceNowMicros();
+  const size_t id = store_.regions();
+  if (regions.size() != id + 1) {
+    return Status::InvalidArgument("Insert: expected one appended region");
+  }
+  const Region& region = regions[id];
   const Status valid = region.Validate();
   if (!valid.ok()) return valid;
-  const size_t id = regions_.size();
   const Box box = region.BoundingBox();
   const bool degenerate = box.IsEmpty() || box.IsDegenerate();
 
@@ -215,16 +224,13 @@ Result<DeltaResult> DeltaEngine::Insert(Region region) {
 
   store_.AppendRegion(box);
   poly_.AppendRegion(region);
-  regions_.push_back(std::move(region));
   x_index_.Append(box.min_x(), box.max_x(), degenerate);
   y_index_.Append(box.min_y(), box.max_y(), degenerate);
   if (degenerate) degenerate_ids_.push_back(static_cast<uint32_t>(id));
 
   DeltaResult result;
-  ResolveDirty(id, &result);
-  MaybeRebuildStore();
-  store_.RechargeMem();
-  RechargeAux();
+  ResolveDirty(id, regions, &result);
+  FinishApply(regions);
 
   result.apply_us = obs::TraceNowMicros() - start_us;
   CARDIR_METRIC_OBSERVE("delta.apply_us", result.apply_us);
@@ -232,12 +238,16 @@ Result<DeltaResult> DeltaEngine::Insert(Region region) {
   return result;
 }
 
-Result<DeltaResult> DeltaEngine::Move(size_t id, Region geometry) {
+Result<DeltaResult> DeltaEngine::Move(size_t id, RegionsView regions) {
   const std::lock_guard<std::mutex> lock(mu_);
   const uint64_t start_us = obs::TraceNowMicros();
-  if (id >= regions_.size()) {
+  if (id >= store_.regions()) {
     return Status::InvalidArgument("Move: region id out of range");
   }
+  if (regions.size() != store_.regions()) {
+    return Status::InvalidArgument("Move: expected an unchanged region count");
+  }
+  const Region& geometry = regions[id];
   const Status valid = geometry.Validate();
   if (!valid.ok()) return valid;
 
@@ -266,16 +276,13 @@ Result<DeltaResult> DeltaEngine::Move(size_t id, Region geometry) {
 
   store_.SetRegionBox(id, new_box);
   poly_.ReplaceRegion(id, geometry);
-  regions_[id] = std::move(geometry);
   x_index_.Update(id, new_box.min_x(), new_box.max_x(), new_degenerate);
   y_index_.Update(id, new_box.min_y(), new_box.max_y(), new_degenerate);
   SetDegenerate(id, new_degenerate);
 
   DeltaResult result;
-  ResolveDirty(id, &result);
-  MaybeRebuildStore();
-  store_.RechargeMem();
-  RechargeAux();
+  ResolveDirty(id, regions, &result);
+  FinishApply(regions);
 
   result.apply_us = obs::TraceNowMicros() - start_us;
   CARDIR_METRIC_OBSERVE("delta.apply_us", result.apply_us);
@@ -283,11 +290,14 @@ Result<DeltaResult> DeltaEngine::Move(size_t id, Region geometry) {
   return result;
 }
 
-Result<DeltaResult> DeltaEngine::Remove(size_t id) {
+Result<DeltaResult> DeltaEngine::Remove(size_t id, RegionsView regions) {
   const std::lock_guard<std::mutex> lock(mu_);
   const uint64_t start_us = obs::TraceNowMicros();
-  if (id >= regions_.size()) {
+  if (id >= store_.regions()) {
     return Status::InvalidArgument("Remove: region id out of range");
+  }
+  if (regions.size() + 1 != store_.regions()) {
+    return Status::InvalidArgument("Remove: expected one erased region");
   }
   const RegionProfile& profile = store_.profile_;
   const bool degenerate = profile.cross_override[id] != 0;
@@ -310,7 +320,6 @@ Result<DeltaResult> DeltaEngine::Remove(size_t id) {
     result.touched.emplace_back(j, static_cast<uint32_t>(id));
   }
   store_.EraseRegion(id);
-  regions_.erase(regions_.begin() + static_cast<ptrdiff_t>(id));
   poly_.EraseRegion(id);
   x_index_.Remove(id);
   y_index_.Remove(id);
@@ -321,9 +330,7 @@ Result<DeltaResult> DeltaEngine::Remove(size_t id) {
        it != degenerate_ids_.end(); ++it) {
     --*it;  // Ids above the erased one renumber down.
   }
-  MaybeRebuildStore();
-  store_.RechargeMem();
-  RechargeAux();
+  FinishApply(regions);
 
   // Every dirty pair ends non-explicit (deleted with the region).
   result.pairs_implicit = result.touched.size();

@@ -26,7 +26,7 @@
 // orphaned base slots are reclaimed only by a rebuild. So once the patch
 // entries outgrow 1/kRebuildDivisor of the store's base (profile, row
 // offsets and base overlay) the engine frees the store and replaces it
-// with a fresh ComputeRelationStore of its own regions, swept with the
+// with a fresh ComputeRelationStore of the owner's geometry, swept with the
 // engine's EngineOptions: same relations, no patches. Between rebuilds the
 // store stays under ~(1 + 1/kRebuildDivisor)x its base plus the patch
 // list headers (24 bytes per row once any row is patched). The headers
@@ -39,7 +39,13 @@
 // kRebuildFloorBytes floor keeps small engines (tests, a few dozen
 // regions) on the patch path. Each rebuild bumps the delta.rebuilds
 // counter and records a kDelta "delta.rebuild" event with the store bytes
-// before and after.
+// before and after. Every apply sets the delta.patch_bytes and
+// delta.rebuild_budget_bytes gauges (`--stats` store health).
+//
+// Borrowed geometry: the engine holds no Region. Each call reads the
+// owner's geometry through a RegionsView, never stored, so an engine copy
+// shares nothing with its source's owner. The owner updates its geometry,
+// then calls the matching mutation with no other mutation in between.
 //
 // Correctness contract: after any mutation sequence, Digest() is
 // bit-identical to a fresh ComputeRelationStore over the same geometries
@@ -47,11 +53,11 @@
 // mutation-script oracle in tests/engine/delta_engine_test.cc holds the
 // engine against tests/properties/reference_relations.h).
 //
-// Locking discipline: one mutex serializes Insert/Move/Remove/Digest; the
-// per-engine DeltaScratch is reused under that lock. `store()` returns the
-// live store without locking — callers synchronize reads against mutations
-// themselves (Configuration is single-threaded; concurrent readers take
-// Digest() or copy the engine).
+// Locking discipline: one mutex guards Insert/Move/Remove/Digest, so a
+// Digest() reader never sees a half-applied mutation; the per-engine
+// DeltaScratch is reused under that lock. The owner serializes its mutators (each
+// pairs a geometry update with its call). `store()` is unlocked — callers
+// synchronize reads against mutations themselves.
 
 #ifndef CARDIR_ENGINE_DELTA_ENGINE_H_
 #define CARDIR_ENGINE_DELTA_ENGINE_H_
@@ -100,6 +106,31 @@ struct DeltaScratch {
   }
 };
 
+/// The owner's geometry, lent to one engine call: `view[i]` is region i of
+/// the engine's current numbering (see "Borrowed geometry" above).
+class RegionsView {
+ public:
+  /// Views a plain vector of regions.
+  RegionsView(const std::vector<Region>& regions)  // NOLINT: implicit view
+      : owner_(&regions), size_(regions.size()), at_(&VectorAt) {}
+  /// Views `at(owner, i)` for i < size (a Region inside a larger record).
+  RegionsView(const void* owner, size_t size,
+              const Region& (*at)(const void* owner, size_t i))
+      : owner_(owner), size_(size), at_(at) {}
+
+  size_t size() const { return size_; }
+  const Region& operator[](size_t i) const { return at_(owner_, i); }
+
+ private:
+  static const Region& VectorAt(const void* owner, size_t i) {
+    return (*static_cast<const std::vector<Region>*>(owner))[i];
+  }
+
+  const void* owner_;
+  size_t size_;
+  const Region& (*at_)(const void* owner, size_t i);
+};
+
 /// Incrementally maintained all-pairs relation store (see file comment).
 class DeltaEngine {
  public:
@@ -110,31 +141,24 @@ class DeltaEngine {
   DeltaEngine(DeltaEngine&& other) noexcept;
   DeltaEngine& operator=(DeltaEngine&& other) noexcept;
 
-  /// Builds the initial store with the batch sweep join, then adopts it.
-  /// Fails like ComputeRelationStore (invalid region). `stats`, when
-  /// non-null, receives the batch run's instrumentation.
-  static Result<DeltaEngine> Build(std::vector<Region> regions,
+  /// Builds the store with one batch sweep join, then the delta indexes.
+  /// Fails like ComputeRelationStore (invalid region). `options` also
+  /// drive the store rebuilds. `stats`, when non-null, receives the batch
+  /// run's instrumentation.
+  static Result<DeltaEngine> Build(RegionsView regions,
                                    const EngineOptions& options = {},
                                    EngineStats* stats = nullptr);
 
-  /// Adopts an already-computed store and the geometries it was computed
-  /// from (regions[i] must be the region profiled at index i) — the
-  /// promotion path Configuration uses so a computed store never pays a
-  /// second batch run. `options` drive the store rebuilds (see file
-  /// comment); Build passes its own.
-  static DeltaEngine Adopt(RelationStore store, std::vector<Region> regions,
-                           const EngineOptions& options = {});
+  /// The owner appended region regions(); resolves its pairs against the
+  /// existing set. Fails on invalid geometry (engine untouched).
+  Result<DeltaResult> Insert(RegionsView regions);
 
-  /// Appends `region` as index regions() and resolves its pairs against
-  /// the existing set. Fails on invalid geometry (engine untouched).
-  Result<DeltaResult> Insert(Region region);
+  /// The owner replaced region `id`'s geometry; re-resolves exactly the
+  /// dirty pairs of its old ∪ new box. Fails on bad id / invalid geometry.
+  Result<DeltaResult> Move(size_t id, RegionsView regions);
 
-  /// Replaces region `id`'s geometry and re-resolves exactly the dirty
-  /// pairs of its old ∪ new box. Fails on bad id / invalid geometry.
-  Result<DeltaResult> Move(size_t id, Region geometry);
-
-  /// Removes region `id`; indices above it renumber down by one.
-  Result<DeltaResult> Remove(size_t id);
+  /// The owner erased region `id`; indices above it renumber down by one.
+  Result<DeltaResult> Remove(size_t id, RegionsView regions);
 
   /// Order-independent digest over all pairs — bit-identical to the serial
   /// Compute-CDR reference digest (ReferenceDigest in
@@ -142,13 +166,10 @@ class DeltaEngine {
   /// Takes the lock.
   uint64_t Digest() const;
 
-  size_t regions() const { return regions_.size(); }
+  size_t regions() const { return store_.regions(); }
 
   /// The live store (unsynchronized — see the locking discipline above).
   const RelationStore& store() const { return store_; }
-
-  /// The current geometry of region `id`.
-  const Region& region(size_t id) const { return regions_[id]; }
 
   /// Footprint of the store plus the delta side-structures (indexes,
   /// polygon extents, scratch).
@@ -158,8 +179,9 @@ class DeltaEngine {
   void GatherAffected(size_t id, bool all_rows, bool use_old, double old_lo_x,
                       double old_hi_x, double old_lo_y, double old_hi_y,
                       bool use_new, const Box& new_box);
-  void ResolveDirty(size_t id, DeltaResult* result);
-  void MaybeRebuildStore();
+  void ResolveDirty(size_t id, RegionsView regions, DeltaResult* result);
+  // Every apply ends here: rebuild if over budget, recharge, set gauges.
+  void FinishApply(RegionsView regions);
   void SetDegenerate(size_t id, bool degenerate);
   void RechargeAux();
   size_t aux_bytes() const;
@@ -170,7 +192,6 @@ class DeltaEngine {
   static constexpr size_t kRebuildFloorBytes = 16 * 1024;
 
   mutable std::mutex mu_;
-  std::vector<Region> regions_;
   RelationStore store_;
   IntervalOverlapIndex x_index_, y_index_;
   std::vector<uint32_t> degenerate_ids_;  // Ascending; parity with sweep.

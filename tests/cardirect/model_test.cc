@@ -123,11 +123,10 @@ TEST(ConfigurationTest, AddRegionAfterComputeMaintainsStoreIncrementally) {
   ASSERT_TRUE(config.AddRegion(MakeRegion("a", "red", 0, 0, 10, 10)).ok());
   ASSERT_TRUE(config.AddRegion(MakeRegion("b", "blue", 4, 4, 14, 14)).ok());
   ASSERT_TRUE(config.ComputeAllRelations().ok());
-  EXPECT_EQ(config.delta_engine(), nullptr);
 
   // The insert rides the delta engine; no recompute, no explicit records.
   ASSERT_TRUE(config.AddRegion(MakeRegion("c", "green", 2, -9, 12, -1)).ok());
-  EXPECT_NE(config.delta_engine(), nullptr);
+  ASSERT_NE(config.relation_store(), nullptr);
   EXPECT_TRUE(config.relations().empty());
   EXPECT_EQ(config.relation_count(), 6u);
   ExpectMatchesRecompute(config);
@@ -150,7 +149,6 @@ TEST(ConfigurationTest, AddPolygonAfterComputeReResolvesItsPairs) {
   // recompute — and leaves the untouched direction consistent too.
   ASSERT_TRUE(
       config.AddPolygonToRegion("a", MakeRectangle(35, 0, 45, 10)).ok());
-  EXPECT_NE(config.delta_engine(), nullptr);
   EXPECT_EQ(config.StoredRelation("a", "b")->ToString(), "W:E");
   EXPECT_TRUE(config.relations().empty());
   ExpectMatchesRecompute(config);
@@ -169,7 +167,6 @@ TEST(ConfigurationTest, RemoveRegionAfterComputeKeepsOtherPairs) {
   const std::string ab = config.StoredRelation("a", "b")->ToString();
 
   ASSERT_TRUE(config.RemoveRegion("c").ok());
-  EXPECT_NE(config.delta_engine(), nullptr);
   EXPECT_EQ(config.relation_count(), 2u);
   // The surviving pair keeps its stored relation verbatim.
   EXPECT_EQ(config.StoredRelation("a", "b")->ToString(), ab);
@@ -183,6 +180,94 @@ TEST(ConfigurationTest, RemoveRegionAfterComputeKeepsOtherPairs) {
   ASSERT_TRUE(config.RemoveRegion("a").ok());
   EXPECT_EQ(config.relation_count(), 2u);
   ExpectMatchesRecompute(config);
+}
+
+// The engine reads the geometry of the configuration that owns it. A copy
+// of an already edited configuration must carry no engine state that
+// points into its source: edits on either side, and the source's
+// destruction, leave the other recompute-exact.
+TEST(ConfigurationTest, CopiesOfAnEditedConfigurationStayIndependent) {
+  Configuration original;
+  ASSERT_TRUE(original.AddRegion(MakeRegion("a", "red", 0, 0, 10, 10)).ok());
+  ASSERT_TRUE(original.AddRegion(MakeRegion("b", "blue", 5, 3, 15, 12)).ok());
+  ASSERT_TRUE(original.AddRegion(MakeRegion("c", "red", 8, -6, 20, 4)).ok());
+  ASSERT_TRUE(original.AddRegion(MakeRegion("d", "green", -4, 6, 6, 18)).ok());
+  ASSERT_TRUE(original.AddRegion(MakeRegion("e", "blue", 2, 2, 24, 8)).ok());
+  ASSERT_TRUE(original.ComputeAllRelations().ok());
+  ASSERT_TRUE(
+      original.AddPolygonToRegion("a", MakeRectangle(12, 14, 18, 20)).ok());
+
+  Configuration copy = original;
+  ASSERT_TRUE(copy.AddPolygonToRegion("b", MakeRectangle(-9, -9, -3, 1)).ok());
+  ASSERT_TRUE(copy.AddRegion(MakeRegion("f", "red", 3, -2, 13, 16)).ok());
+  ASSERT_TRUE(copy.RemoveRegion("a").ok());
+  ExpectMatchesRecompute(copy);
+  ExpectMatchesRecompute(original);
+
+  ASSERT_TRUE(
+      original.AddPolygonToRegion("d", MakeRectangle(21, -8, 27, 0)).ok());
+  ASSERT_TRUE(original.AddRegion(MakeRegion("g", "blue", 6, 6, 9, 30)).ok());
+  ASSERT_TRUE(original.RemoveRegion("b").ok());
+  ExpectMatchesRecompute(original);
+  ExpectMatchesRecompute(copy);
+  EXPECT_NE(original.FindRegion("a"), nullptr);
+  EXPECT_EQ(copy.FindRegion("a"), nullptr);
+
+  // Copy-assigned from a source that then dies: the survivor's engine
+  // reads only the survivor's regions.
+  Configuration survivor;
+  {
+    Configuration source = copy;
+    ASSERT_TRUE(source.RemoveRegion("c").ok());
+    survivor = source;
+  }
+  ASSERT_TRUE(
+      survivor.AddPolygonToRegion("e", MakeRectangle(-7, 20, 1, 26)).ok());
+  ASSERT_TRUE(survivor.AddRegion(MakeRegion("h", "red", 0, 9, 30, 11)).ok());
+  ASSERT_TRUE(survivor.RemoveRegion("d").ok());
+  ExpectMatchesRecompute(survivor);
+  ExpectMatchesRecompute(copy);
+}
+
+// The engine exists from the compute on, whatever the size: edits of a
+// computed configuration with no region or one region stay
+// recompute-exact.
+TEST(ConfigurationTest, EditsOfComputedEmptyAndSingleRegionConfigurations) {
+  Configuration empty;
+  ASSERT_TRUE(empty.ComputeAllRelations().ok());
+  ASSERT_NE(empty.relation_store(), nullptr);
+  EXPECT_EQ(empty.relation_count(), 0u);
+  ASSERT_TRUE(empty.AddRegion(MakeRegion("a", "red", 0, 0, 10, 10)).ok());
+  EXPECT_EQ(empty.relation_count(), 0u);
+  ExpectMatchesRecompute(empty);
+  ASSERT_TRUE(empty.AddPolygonToRegion("a", MakeRectangle(12, 0, 15, 4)).ok());
+  ExpectMatchesRecompute(empty);
+  ASSERT_TRUE(empty.AddRegion(MakeRegion("b", "blue", 4, 4, 14, 14)).ok());
+  EXPECT_EQ(empty.relation_count(), 2u);
+  ExpectMatchesRecompute(empty);
+  ASSERT_TRUE(empty.RemoveRegion("a").ok());
+  ASSERT_TRUE(empty.RemoveRegion("b").ok());
+  ASSERT_NE(empty.relation_store(), nullptr);
+  EXPECT_EQ(empty.relation_count(), 0u);
+  ExpectMatchesRecompute(empty);
+
+  Configuration single;
+  ASSERT_TRUE(single.AddRegion(MakeRegion("a", "red", 0, 0, 10, 10)).ok());
+  ASSERT_TRUE(single.ComputeAllRelations().ok());
+  ASSERT_NE(single.relation_store(), nullptr);
+  EXPECT_EQ(single.relation_count(), 0u);
+  ASSERT_TRUE(
+      single.AddPolygonToRegion("a", MakeRectangle(-6, 2, -1, 8)).ok());
+  ExpectMatchesRecompute(single);
+  ASSERT_TRUE(single.AddRegion(MakeRegion("b", "blue", -3, 5, 3, 20)).ok());
+  EXPECT_EQ(single.relation_count(), 2u);
+  ExpectMatchesRecompute(single);
+  ASSERT_TRUE(single.RemoveRegion("a").ok());
+  EXPECT_EQ(single.relation_count(), 0u);
+  ExpectMatchesRecompute(single);
+  ASSERT_TRUE(single.RemoveRegion("b").ok());
+  ASSERT_TRUE(single.AddRegion(MakeRegion("c", "green", 1, 1, 2, 2)).ok());
+  ExpectMatchesRecompute(single);
 }
 
 // Ids resolve through an id→index map. Removing a region shifts the index

@@ -122,29 +122,26 @@ TEST(DeltaEngineProperty, MutationScriptsMatchSerialLoopOn500Scripts) {
       const uint64_t kind = rng.NextBelow(4);
       Result<DeltaResult> applied = Status::Internal("unset");
       if (kind == 0 || mirror.size() < 2) {
-        Region region = RandomMutationRegion(&rng);
-        mirror.push_back(region);
-        applied = engine.value().Insert(std::move(region));
+        mirror.push_back(RandomMutationRegion(&rng));
+        applied = engine.value().Insert(mirror);
       } else if (kind == 3) {
         const size_t id = rng.NextBelow(mirror.size());
         mirror.erase(mirror.begin() + static_cast<ptrdiff_t>(id));
-        applied = engine.value().Remove(id);
+        applied = engine.value().Remove(id, mirror);
       } else if (kind == 1) {
         // Wholesale geometry replacement.
         const size_t id = rng.NextBelow(mirror.size());
-        Region region = RandomMutationRegion(&rng);
-        mirror[id] = region;
-        applied = engine.value().Move(id, std::move(region));
+        mirror[id] = RandomMutationRegion(&rng);
+        applied = engine.value().Move(id, mirror);
       } else {
         // Grow-in-place: the Configuration::AddPolygonToRegion pattern.
         const size_t id = rng.NextBelow(mirror.size());
         const double x = rng.NextDouble(0.0, 900.0);
         const double y = rng.NextDouble(0.0, 900.0);
-        Region region = mirror[id];
-        region.AddPolygon(MakeRectangle(x, y, x + rng.NextDouble(5.0, 80.0),
-                                        y + rng.NextDouble(5.0, 80.0)));
-        mirror[id] = region;
-        applied = engine.value().Move(id, std::move(region));
+        mirror[id].AddPolygon(
+            MakeRectangle(x, y, x + rng.NextDouble(5.0, 80.0),
+                          y + rng.NextDouble(5.0, 80.0)));
+        applied = engine.value().Move(id, mirror);
       }
       ASSERT_TRUE(applied.ok()) << applied.status();
       ASSERT_EQ(engine.value().regions(), mirror.size());
@@ -174,9 +171,8 @@ TEST(DeltaEngineTest, TouchedCoversExplicitPairsOfMovedRegion) {
 
   for (int m = 0; m < 20; ++m) {
     const size_t id = rng.NextBelow(regions.size());
-    Region region = RandomMutationRegion(&rng);
-    regions[id] = region;
-    const auto applied = engine.value().Move(id, std::move(region));
+    regions[id] = RandomMutationRegion(&rng);
+    const auto applied = engine.value().Move(id, regions);
     ASSERT_TRUE(applied.ok()) << applied.status();
     const RelationStore& store = engine.value().store();
     std::vector<std::pair<uint32_t, uint32_t>> touched =
@@ -201,6 +197,41 @@ TEST(DeltaEngineTest, TouchedCoversExplicitPairsOfMovedRegion) {
 uint64_t RebuildCount() {
   return obs::CaptureMetrics().counter("delta.rebuilds");
 }
+
+// Store health in `--stats`: every apply leaves delta.patch_bytes at the
+// store's live patch entries and delta.rebuild_budget_bytes at the point a
+// rebuild fires, max(16 KiB, base / 3).
+TEST(DeltaEngineTest, AppliesSetStoreHealthGauges) {
+  Rng rng(0x6A06Eu);
+  std::vector<Region> regions = SmallOverlapRegions(&rng, 60);
+  auto engine = DeltaEngine::Build(regions);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  const RelationStore& store = engine.value().store();
+  const auto expect_gauges = [&store] {
+    const obs::MetricsSnapshot metrics = obs::CaptureMetrics();
+    EXPECT_EQ(metrics.gauge("delta.patch_bytes"),
+              static_cast<int64_t>(store.patch_bytes()));
+    EXPECT_EQ(metrics.gauge("delta.rebuild_budget_bytes"),
+              static_cast<int64_t>(
+                  std::max<size_t>(16 * 1024, store.base_bytes() / 3)));
+  };
+
+  const Region original = regions[7];
+  regions[7] = Region(MakeRectangle(100.0, 100.0, 300.0, 300.0));
+  ASSERT_TRUE(engine.value().Move(7, regions).ok());
+  ASSERT_GT(store.patch_bytes(), 0u);
+  expect_gauges();
+  const size_t patched = store.patch_bytes();
+
+  regions.push_back(Region(MakeRectangle(150.0, 50.0, 250.0, 350.0)));
+  ASSERT_TRUE(engine.value().Insert(regions).ok());
+  EXPECT_GT(store.patch_bytes(), patched);
+  expect_gauges();
+
+  regions[7] = original;
+  ASSERT_TRUE(engine.value().Move(7, regions).ok());
+  expect_gauges();
+}
 #endif  // CARDIR_OBS_ENABLED
 
 // A long churn run on one engine: enough mutations to cycle the interval
@@ -219,18 +250,16 @@ TEST(DeltaEngineTest, LongChurnEndsPairIdenticalToFreshStore) {
   for (int m = 0; m < 300; ++m) {
     const uint64_t kind = rng.NextBelow(4);
     if (kind == 0 || mirror.size() < 30) {
-      Region region = RandomMutationRegion(&rng);
-      mirror.push_back(region);
-      ASSERT_TRUE(engine.value().Insert(std::move(region)).ok());
+      mirror.push_back(RandomMutationRegion(&rng));
+      ASSERT_TRUE(engine.value().Insert(mirror).ok());
     } else if (kind == 3) {
       const size_t id = rng.NextBelow(mirror.size());
       mirror.erase(mirror.begin() + static_cast<ptrdiff_t>(id));
-      ASSERT_TRUE(engine.value().Remove(id).ok());
+      ASSERT_TRUE(engine.value().Remove(id, mirror).ok());
     } else {
       const size_t id = rng.NextBelow(mirror.size());
-      Region region = RandomMutationRegion(&rng);
-      mirror[id] = region;
-      ASSERT_TRUE(engine.value().Move(id, std::move(region)).ok());
+      mirror[id] = RandomMutationRegion(&rng);
+      ASSERT_TRUE(engine.value().Move(id, mirror).ok());
     }
   }
 
@@ -284,14 +313,13 @@ TEST(DeltaEngineTest, SparseLayoutMovesDoNotRebuildTheStore) {
     const size_t id = rng.NextBelow(kRegions);
     const double x = static_cast<double>(id % kGrid) * kCell;
     const double y = static_cast<double>(id / kGrid) * kCell;
-    Region straddle(MakeRectangle(x + 0.5 * kCell, y + 2.0,
-                                  x + 1.5 * kCell, y + kCell - 2.0));
-    mirror[id] = straddle;
-    auto out = engine.value().Move(id, std::move(straddle));
+    mirror[id] = Region(MakeRectangle(x + 0.5 * kCell, y + 2.0,
+                                      x + 1.5 * kCell, y + kCell - 2.0));
+    auto out = engine.value().Move(id, mirror);
     ASSERT_TRUE(out.ok()) << out.status();
     if (out->pairs_reresolved > 0) ++patching_moves;
     mirror[id] = originals[id];
-    ASSERT_TRUE(engine.value().Move(id, originals[id]).ok());
+    ASSERT_TRUE(engine.value().Move(id, mirror).ok());
   }
   EXPECT_GT(patching_moves, 100u);
   EXPECT_EQ(engine.value().Digest(), ReferenceDigest(mirror));
@@ -330,9 +358,8 @@ TEST(DeltaEngineSoak, MapChurnStaysWithinOneAndAHalfFreshBytes) {
     const int target = static_cast<int>(rng.NextBelow(kOriginals));
     const double x = (target % grid + 0.5) * cell;
     const double y = (target / grid + 0.5) * cell;
-    Region region = star_in(x, y, 0.3 * cell);
-    mirror.push_back(region);
-    ASSERT_TRUE(engine.value().Insert(std::move(region)).ok());
+    mirror.push_back(star_in(x, y, 0.3 * cell));
+    ASSERT_TRUE(engine.value().Insert(mirror).ok());
   };
   const auto grow = [&]() {
     const int target = static_cast<int>(rng.NextBelow(kOriginals));
@@ -351,13 +378,13 @@ TEST(DeltaEngineSoak, MapChurnStaysWithinOneAndAHalfFreshBytes) {
     Region& region = mirror[static_cast<size_t>(target)];
     region.AddPolygon(star_in(x, y, half).polygons().front());
     ASSERT_TRUE(
-        engine.value().Move(static_cast<size_t>(target), region).ok());
+        engine.value().Move(static_cast<size_t>(target), mirror).ok());
   };
   const auto remove_oldest_insert = [&]() {
     // Inserts append and removes take the oldest, so the oldest surviving
     // insert always sits right after the originals.
     mirror.erase(mirror.begin() + kOriginals);
-    ASSERT_TRUE(engine.value().Remove(kOriginals).ok());
+    ASSERT_TRUE(engine.value().Remove(kOriginals, mirror).ok());
   };
 
   insert();
@@ -392,24 +419,6 @@ TEST(DeltaEngineSoak, MapChurnStaysWithinOneAndAHalfFreshBytes) {
 #endif  // CARDIR_OBS_ENABLED
 }
 
-TEST(DeltaEngineTest, AdoptedStoreNeedsNoRecompute) {
-  Rng rng(0xAD09u);
-  std::vector<Region> regions = SmallMapRegions(&rng, 40);
-  auto store = ComputeRelationStore(regions);
-  ASSERT_TRUE(store.ok()) << store.status();
-  const uint64_t before = store->Digest();
-
-  DeltaEngine engine = DeltaEngine::Adopt(std::move(*store), regions);
-  EXPECT_EQ(engine.Digest(), before);
-
-  // And it is live: a mutation through the adopted engine tracks fresh
-  // compute.
-  Region moved = RandomMutationRegion(&rng);
-  regions[7] = moved;
-  ASSERT_TRUE(engine.Move(7, std::move(moved)).ok());
-  EXPECT_EQ(engine.Digest(), ReferenceDigest(regions));
-}
-
 TEST(DeltaEngineTest, ErrorsLeaveEngineUntouched) {
   Rng rng(0xE88u);
   std::vector<Region> regions = SmallMapRegions(&rng, 10);
@@ -417,38 +426,48 @@ TEST(DeltaEngineTest, ErrorsLeaveEngineUntouched) {
   ASSERT_TRUE(engine.ok()) << engine.status();
   const uint64_t digest = engine.value().Digest();
 
-  EXPECT_EQ(engine.value().Move(99, Region(MakeRectangle(0, 0, 1, 1)))
-                .status()
-                .code(),
+  // Bad ids, invalid geometry, and views whose size does not match the
+  // mutation (the owner skipped or doubled its geometry update).
+  std::vector<Region> shorter(regions.begin(), regions.end() - 1);
+  std::vector<Region> longer = regions;
+  longer.push_back(Region());
+  std::vector<Region> invalid = regions;
+  invalid[3] = Region();
+  EXPECT_EQ(engine.value().Move(99, regions).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(engine.value().Remove(99).status().code(),
+  EXPECT_EQ(engine.value().Remove(99, shorter).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(engine.value().Insert(Region()).status().code(),
+  EXPECT_EQ(engine.value().Insert(longer).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(engine.value().Move(3, Region()).status().code(),
+  EXPECT_EQ(engine.value().Move(3, invalid).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.value().Move(3, shorter).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.value().Insert(regions).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.value().Remove(3, regions).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(engine.value().regions(), regions.size());
   EXPECT_EQ(engine.value().Digest(), digest);
 }
 
 TEST(DeltaEngineTest, GrowFromEmptyEngine) {
-  auto engine = DeltaEngine::Build({});
+  std::vector<Region> mirror;
+  auto engine = DeltaEngine::Build(mirror);
   ASSERT_TRUE(engine.ok()) << engine.status();
   EXPECT_EQ(engine.value().regions(), 0u);
 
-  std::vector<Region> mirror;
   Rng rng(0x60Fu);
   for (int i = 0; i < 12; ++i) {
-    Region region = RandomMutationRegion(&rng);
-    mirror.push_back(region);
-    const auto applied = engine.value().Insert(std::move(region));
+    mirror.push_back(RandomMutationRegion(&rng));
+    const auto applied = engine.value().Insert(mirror);
     ASSERT_TRUE(applied.ok()) << applied.status();
     ASSERT_EQ(engine.value().Digest(), ReferenceDigest(mirror));
   }
   while (!mirror.empty()) {
     const size_t id = rng.NextBelow(mirror.size());
     mirror.erase(mirror.begin() + static_cast<ptrdiff_t>(id));
-    ASSERT_TRUE(engine.value().Remove(id).ok());
+    ASSERT_TRUE(engine.value().Remove(id, mirror).ok());
     ASSERT_EQ(engine.value().Digest(), ReferenceDigest(mirror));
   }
   EXPECT_EQ(engine.value().regions(), 0u);
@@ -476,7 +495,8 @@ TEST(DeltaEngineMemstats, AuxArenaBalancesAcrossCopyMoveAndDestroy) {
 
     DeltaEngine moved(std::move(copy));  // ...a move transfers it.
     EXPECT_EQ(arena.LiveBytes(), live_with_copy);
-    ASSERT_TRUE(moved.Move(3, RandomMutationRegion(&rng)).ok());
+    regions[3] = RandomMutationRegion(&rng);
+    ASSERT_TRUE(moved.Move(3, regions).ok());
   }
   EXPECT_EQ(arena.LiveBytes(), live_before);
 }

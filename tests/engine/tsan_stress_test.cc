@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -244,41 +245,54 @@ TEST(TsanStressTest, SweepScratchReuseAcrossExplicitPairs) {
   }
 }
 
-// The delta engine serializes mutations behind one mutex; this hammers
-// that lock with concurrent Move calls on distinct ids (each to an
-// absolute final geometry, so any interleaving converges to one state)
-// while other threads read Digest() mid-churn. The end digest must equal
-// the serial Compute-CDR loop's — a dropped patch under contention would
-// diverge.
+// The delta engine reads its owner's geometry during each mutation, so
+// the owner pairs every geometry update with its call. Here four movers
+// share one geometry table and serialize "update the table, then Move"
+// under the test's own lock, each moving distinct ids to an absolute final
+// geometry (any interleaving converges to one state). Two readers call
+// Digest() throughout, concurrently with the movers; the engine's mutex
+// must keep them off a half-applied mutation. The end digest must equal
+// the serial Compute-CDR loop's — a dropped patch would diverge.
 TEST(TsanStressTest, DeltaEngineConcurrentMovesAndDigestReaders) {
   Rng rng(0xDE17Au);
-  std::vector<Region> regions;
-  for (int i = 0; i < 32; ++i) regions.push_back(RandomTestRegion(&rng));
-  auto built = DeltaEngine::Build(regions);
+  std::vector<Region> table;
+  for (int i = 0; i < 32; ++i) table.push_back(RandomTestRegion(&rng));
+  auto built = DeltaEngine::Build(table);
   ASSERT_TRUE(built.ok()) << built.status();
   DeltaEngine& engine = built.value();
 
-  std::vector<Region> final_regions = regions;
+  std::vector<Region> final_regions = table;
   for (size_t i = 0; i < final_regions.size(); ++i) {
     const double x = 40.0 * static_cast<double>(i % 8);
     const double y = 50.0 * static_cast<double>(i / 8);
     final_regions[i] = Region(MakeRectangle(x, y, x + 30.0, y + 35.0));
   }
 
+  std::mutex table_mu;
   std::atomic<int> failures{0};
+  std::atomic<int> movers_left{4};
+  const auto move_to = [&](size_t id, const Region& geometry) {
+    const std::lock_guard<std::mutex> lock(table_mu);
+    table[id] = geometry;
+    if (!engine.Move(id, table).ok()) failures.fetch_add(1);
+  };
   std::vector<std::thread> workers;
   for (int w = 0; w < 4; ++w) {
-    workers.emplace_back([&engine, &final_regions, &failures, w] {
+    workers.emplace_back([&, w] {
       for (size_t i = static_cast<size_t>(w); i < final_regions.size();
            i += 4) {
         // An intermediate hop first, so every id mutates twice and the
         // interval indexes accumulate tombstones under contention.
         const double off = 500.0 + 25.0 * static_cast<double>(i);
-        Region hop(MakeRectangle(off, off, off + 20.0, off + 15.0));
-        if (!engine.Move(i, std::move(hop)).ok()) failures.fetch_add(1);
-        (void)engine.Digest();  // Readers interleave with movers.
-        if (!engine.Move(i, final_regions[i]).ok()) failures.fetch_add(1);
+        move_to(i, Region(MakeRectangle(off, off, off + 20.0, off + 15.0)));
+        move_to(i, final_regions[i]);
       }
+      movers_left.fetch_sub(1);
+    });
+  }
+  for (int r = 0; r < 2; ++r) {
+    workers.emplace_back([&engine, &movers_left] {
+      while (movers_left.load() > 0) (void)engine.Digest();
     });
   }
   for (std::thread& worker : workers) worker.join();
