@@ -37,10 +37,9 @@ Status Configuration::RemoveRegion(const std::string& id) {
   // `id` may alias the removed region's own id: use it before the erase.
   DropRecordsOf(id);
   index_.erase(id);
-  for (auto& entry : index_) {
-    if (entry.second > index) --entry.second;
-  }
   regions_.erase(regions_.begin() + static_cast<ptrdiff_t>(index));
+  // Only the regions after the erased one move down a slot.
+  for (size_t k = index; k < regions_.size(); ++k) index_[regions_[k].id] = k;
   // Delta-maintain the computed store: only the removed region's pairs
   // go, everything else keeps its stored relation.
   if (engine_.has_value()) return engine_->Remove(index, geometry()).status();

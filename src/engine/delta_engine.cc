@@ -201,6 +201,9 @@ void DeltaEngine::FinishApply(RegionsView regions) {
   RechargeAux();
   CARDIR_METRIC_GAUGE_SET("delta.patch_bytes", store_.patch_bytes());
   CARDIR_METRIC_GAUGE_SET("delta.rebuild_budget_bytes", budget());
+  // Tombstones + overflow entries every gather still scans past.
+  CARDIR_METRIC_GAUGE_SET("delta.index_pending",
+                          x_index_.pending() + y_index_.pending());
 }
 
 Result<DeltaResult> DeltaEngine::Insert(RegionsView regions) {

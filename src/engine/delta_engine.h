@@ -39,8 +39,10 @@
 // kRebuildFloorBytes floor keeps small engines (tests, a few dozen
 // regions) on the patch path. Each rebuild bumps the delta.rebuilds
 // counter and records a kDelta "delta.rebuild" event with the store bytes
-// before and after. Every apply sets the delta.patch_bytes and
-// delta.rebuild_budget_bytes gauges (`--stats` store health).
+// before and after. Every apply sets the delta.patch_bytes,
+// delta.rebuild_budget_bytes and delta.index_pending gauges (`--stats`
+// store health; the last counts both axis indexes' tombstones and
+// overflow entries, the backlog each gather scans until the next re-sort).
 //
 // Borrowed geometry: the engine holds no Region. Each call reads the
 // owner's geometry through a RegionsView, never stored, so an engine copy

@@ -110,13 +110,33 @@ void IntervalOverlapIndex::Append(double lo, double hi, bool skip) {
 }
 
 void IntervalOverlapIndex::Remove(size_t id) {
-  cur_lo_.erase(cur_lo_.begin() + static_cast<ptrdiff_t>(id));
-  cur_hi_.erase(cur_hi_.begin() + static_cast<ptrdiff_t>(id));
-  cur_skip_.erase(cur_skip_.begin() + static_cast<ptrdiff_t>(id));
-  // Every id above the erased one renumbers; a full rebuild is the simple
-  // way to keep the sorted arrays, summaries and position map coherent, and
-  // region removal is already O(n + overlay) at the store layer.
-  Rebuild();
+  // Retire the entry the way Update does: tombstone its main slot or drop
+  // its overflow slot.
+  const uint64_t pos = pos_[id];
+  if (pos != kAbsent) {
+    if ((pos & kOverflowTag) == 0) {
+      hi_[static_cast<size_t>(pos)] = kNegInf;
+      ++dead_;
+    } else {
+      RemoveOverflowAt(static_cast<size_t>(pos & ~kOverflowTag));
+    }
+  }
+  const ptrdiff_t at = static_cast<ptrdiff_t>(id);
+  cur_lo_.erase(cur_lo_.begin() + at);
+  cur_hi_.erase(cur_hi_.begin() + at);
+  cur_skip_.erase(cur_skip_.begin() + at);
+  pos_.erase(pos_.begin() + at);
+  // Ids above the erased one renumber down. The map is monotone, so the
+  // main arrays stay sorted; tombstones keep whatever id they held, which
+  // no query reports.
+  const uint32_t id32 = static_cast<uint32_t>(id);
+  for (uint32_t& entry : ids_) {
+    if (entry > id32) --entry;
+  }
+  for (uint32_t& entry : overflow_ids_) {
+    if (entry > id32) --entry;
+  }
+  RebuildIfStale();
 }
 
 void PolygonBoxes::Build(const std::vector<const Region*>& regions) {

@@ -5,10 +5,12 @@
 //   * IntervalOverlapIndex — per-axis strict-interval-overlap queries over
 //     the non-degenerate boxes, now *updatable*: point mutations tombstone
 //     the stale sorted entry and park the live interval in a small overflow
-//     buffer, and an amortized rebuild re-sorts once the dead+overflow
-//     fraction crosses a threshold (no balanced tree — the flat
-//     block-summary layout is what makes the queries fast, so mutations
-//     pay a deferred re-sort instead of per-update pointer surgery).
+//     buffer, a removal tombstones its entry and renumbers the ids above it
+//     in one linear pass, and an amortized rebuild re-sorts once the
+//     dead+overflow fraction crosses a threshold (no balanced tree — the
+//     flat block-summary layout is what makes the queries fast, so
+//     mutations pay a deferred re-sort instead of per-update pointer
+//     surgery).
 //   * CandidateBitset — the per-row mark/drain bitset that unions the two
 //     axis queries (plus the degenerate ids) into an ascending-id candidate
 //     stream without a per-row sort.
@@ -53,7 +55,9 @@ namespace cardir {
 /// only when its recorded max end fails the query, which the true max then
 /// fails too), the live interval goes to an overflow buffer scanned
 /// linearly per query, and the whole index rebuilds from its authoritative
-/// per-id state once dead + overflow entries exceed max(64, size/8).
+/// per-id state once dead + overflow entries exceed max(64, size/8). A
+/// removal leaves a tombstone too; decrementing every stored id above the
+/// erased one is monotone, so the sorted order it leaves is still valid.
 class IntervalOverlapIndex {
  public:
   static constexpr size_t kBlock = 64;           // Entries per block.
@@ -72,7 +76,8 @@ class IntervalOverlapIndex {
   void Append(double lo, double hi, bool skip);
 
   /// Erases entry `id` and renumbers every id above it down by one — the
-  /// contract of RelationStore::EraseRegion. O(size log size) (rebuild).
+  /// contract of RelationStore::EraseRegion. O(size) (one renumbering pass,
+  /// no sort) + the deferred rebuild share.
   void Remove(size_t id);
 
   /// Ids covered (including skipped/tombstoned ones).

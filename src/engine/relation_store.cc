@@ -157,10 +157,13 @@ void RelationStore::EraseRegion(size_t id) {
   // base-consuming overrides become ghosts (their orphaned base slot
   // outlives the column), its other overrides drop, higher columns
   // renumber. The transform is monotone on (col, ghosts-first) and maps
-  // each entry to at most one, so it runs in place, order preserved.
+  // each entry to at most one, so it runs in place, order preserved. It
+  // leaves columns below id alone, so a list sorted entirely below id is
+  // skipped without a rewrite.
   patch_bytes_ -= patches_[id].capacity() * sizeof(RowPatch);
   patches_.erase(patches_.begin() + at);
   for (std::vector<RowPatch>& list : patches_) {
+    if (list.empty() || list.back().col < id32) continue;
     size_t out = 0;
     for (RowPatch patch : list) {
       if (patch.is_ghost == 0 && patch.col == id32) {

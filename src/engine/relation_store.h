@@ -322,7 +322,9 @@ class RelationStore {
   /// profile entry; indices above `id` renumber down by one. Precondition:
   /// every explicit pair (j, id) has been patched implicit (PatchPair with
   /// now_explicit = false), so base slots of column `id` are recorded in
-  /// patch lists and convert to ghosts. O(regions + overlay + edits).
+  /// patch lists and convert to ghosts. Shifts the overlay and the
+  /// per-region arrays past `id` (memmoves), checks each patch list's last
+  /// column in O(1), and rewrites only the lists holding a column ≥ `id`.
   void EraseRegion(size_t id);
 
   /// Re-charges the mem.relation_store arena for the current footprint.

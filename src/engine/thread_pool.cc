@@ -33,9 +33,9 @@ int ThreadPool::ResolveThreadCount(int requested) {
   const unsigned hw = std::thread::hardware_concurrency();
   if (hw <= 1) {
     // hardware_concurrency() is allowed to return 0 ("unknown") and
-    // containerised hosts with restricted cpusets often pin it at 1 — the
-    // project's own bench host reports hardware_concurrency=1, which is why
-    // the parallel rows of BENCH_engine.json sit at ~1.0x (see ROADMAP).
+    // containerised hosts with restricted cpusets often pin it at 1 — an
+    // earlier bench host reported hardware_concurrency=1, and the parallel
+    // rows it wrote to BENCH_engine.json sat at ~1.0x.
     // CARDIR_THREADS lets such hosts opt parallel runs back in without
     // threading --threads flags through every caller.
     // Reading the environment is not reentrancy-safe in general, but this

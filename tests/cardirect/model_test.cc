@@ -325,6 +325,38 @@ TEST(ConfigurationTest, LookupsFollowIndexShiftAfterRemoveRegion) {
   }
 }
 
+// RemoveRegion renumbers the id index only from the erased position on,
+// so remove at the head, the middle and the tail and check every surviving
+// id's lookup and stored relations after each.
+TEST(ConfigurationTest, RemoveAtHeadMiddleAndTailKeepsEveryLookup) {
+  for (const bool computed : {false, true}) {
+    SCOPED_TRACE(computed ? "computed" : "records");
+    Configuration config;
+    for (int i = 0; i < 9; ++i) {
+      std::string id = "r";
+      id += std::to_string(i);
+      // Overlapping staircase: most pairs cross on an axis.
+      ASSERT_TRUE(config
+                      .AddRegion(MakeRegion(id, "red", i * 7.0, i * 5.0,
+                                            i * 7.0 + 20, i * 5.0 + 16))
+                      .ok());
+    }
+    if (computed) {
+      ASSERT_TRUE(config.ComputeAllRelations().ok());
+    }
+    for (const std::string removed : {"r0", "r4", "r8"}) {
+      SCOPED_TRACE("removed " + removed);
+      ASSERT_TRUE(config.RemoveRegion(removed).ok());
+      EXPECT_EQ(config.FindRegion(removed), nullptr);
+      ExpectLookupsFollowPositions(config);
+      if (computed) ExpectMatchesRecompute(config);
+    }
+    ASSERT_EQ(config.regions().size(), 6u);
+    EXPECT_EQ(config.regions().front().id, "r1");
+    EXPECT_EQ(config.regions().back().id, "r7");
+  }
+}
+
 TEST(ConfigurationTest, ComputePercentagesOnDemand) {
   Configuration config;
   ASSERT_TRUE(config.AddRegion(MakeRegion("b", "blue", 0, 0, 10, 10)).ok());

@@ -199,38 +199,56 @@ uint64_t RebuildCount() {
 }
 
 // Store health in `--stats`: every apply leaves delta.patch_bytes at the
-// store's live patch entries and delta.rebuild_budget_bytes at the point a
-// rebuild fires, max(16 KiB, base / 3).
+// store's live patch entries, delta.rebuild_budget_bytes at the point a
+// rebuild fires, max(16 KiB, base / 3), and delta.index_pending at the two
+// axis indexes' tombstones plus overflow entries. 60 regions stay under
+// the indexes' re-sort threshold (64 pending per axis), so the pending
+// count follows each mutation exactly.
 TEST(DeltaEngineTest, AppliesSetStoreHealthGauges) {
   Rng rng(0x6A06Eu);
   std::vector<Region> regions = SmallOverlapRegions(&rng, 60);
   auto engine = DeltaEngine::Build(regions);
   ASSERT_TRUE(engine.ok()) << engine.status();
   const RelationStore& store = engine.value().store();
-  const auto expect_gauges = [&store] {
+  const auto expect_gauges = [&store](int64_t index_pending) {
     const obs::MetricsSnapshot metrics = obs::CaptureMetrics();
     EXPECT_EQ(metrics.gauge("delta.patch_bytes"),
               static_cast<int64_t>(store.patch_bytes()));
     EXPECT_EQ(metrics.gauge("delta.rebuild_budget_bytes"),
               static_cast<int64_t>(
                   std::max<size_t>(16 * 1024, store.base_bytes() / 3)));
+    EXPECT_EQ(metrics.gauge("delta.index_pending"), index_pending);
   };
 
+  // A move tombstones region 7's sorted entry and parks its new interval
+  // in overflow, on each axis.
   const Region original = regions[7];
   regions[7] = Region(MakeRectangle(100.0, 100.0, 300.0, 300.0));
   ASSERT_TRUE(engine.value().Move(7, regions).ok());
   ASSERT_GT(store.patch_bytes(), 0u);
-  expect_gauges();
+  expect_gauges(4);
   const size_t patched = store.patch_bytes();
 
+  // An insert appends to each overflow.
   regions.push_back(Region(MakeRectangle(150.0, 50.0, 250.0, 350.0)));
   ASSERT_TRUE(engine.value().Insert(regions).ok());
   EXPECT_GT(store.patch_bytes(), patched);
-  expect_gauges();
+  expect_gauges(6);
 
+  // Moving an overflow entry again rewrites its slot in place.
   regions[7] = original;
   ASSERT_TRUE(engine.value().Move(7, regions).ok());
-  expect_gauges();
+  expect_gauges(6);
+
+  // Removing a sorted entry tombstones it instead of re-sorting; removing
+  // an overflow entry drops its slot.
+  regions.erase(regions.begin() + 20);
+  ASSERT_TRUE(engine.value().Remove(20, regions).ok());
+  expect_gauges(8);
+  regions.pop_back();
+  ASSERT_TRUE(engine.value().Remove(regions.size(), regions).ok());
+  expect_gauges(6);
+  EXPECT_EQ(engine.value().Digest(), ReferenceDigest(regions));
 }
 #endif  // CARDIR_OBS_ENABLED
 
@@ -417,6 +435,47 @@ TEST(DeltaEngineSoak, MapChurnStaysWithinOneAndAHalfFreshBytes) {
 #ifdef CARDIR_OBS_ENABLED
   EXPECT_GT(RebuildCount(), rebuilds_before);
 #endif  // CARDIR_OBS_ENABLED
+}
+
+// A removal renumbers every structure past the erased id: store rows and
+// columns, patch lists, both axis indexes and the degenerate ids. Remove at
+// the head, the middle and the tail of the rows the sweep built (base
+// slots), then of rows appended since (patch lists only), with the digest
+// checked after each.
+TEST(DeltaEngineTest, HeadMiddleTailRemovesOfBaseAndAppendedRows) {
+  Rng rng(0x4EADu);
+  std::vector<Region> regions = SmallOverlapRegions(&rng, 40);
+  auto engine = DeltaEngine::Build(regions);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  // Patch a few base rows first, so the removes have lists to renumber.
+  for (const size_t id : {3u, 17u, 31u}) {
+    regions[id] = RandomMutationRegion(&rng);
+    ASSERT_TRUE(engine.value().Move(id, regions).ok());
+  }
+  const auto remove = [&](size_t id) {
+    SCOPED_TRACE("remove " + std::to_string(id));
+    regions.erase(regions.begin() + static_cast<ptrdiff_t>(id));
+    ASSERT_TRUE(engine.value().Remove(id, regions).ok());
+    ASSERT_EQ(engine.value().Digest(), ReferenceDigest(regions));
+  };
+  // Base rows: head, middle, tail.
+  remove(0);
+  remove(regions.size() / 2);
+  remove(regions.size() - 1);
+
+  const size_t base = regions.size();
+  for (int k = 0; k < 7; ++k) {
+    regions.push_back(RandomMutationRegion(&rng));
+    ASSERT_TRUE(engine.value().Insert(regions).ok());
+  }
+  ASSERT_EQ(engine.value().Digest(), ReferenceDigest(regions));
+  // Appended rows, at [base, size): head, middle, tail. Then the last base
+  // row, now followed by appended ones.
+  remove(base);
+  remove(base + (regions.size() - base) / 2);
+  remove(regions.size() - 1);
+  remove(base - 1);
+  ASSERT_EQ(regions.size(), 40u);
 }
 
 TEST(DeltaEngineTest, ErrorsLeaveEngineUntouched) {

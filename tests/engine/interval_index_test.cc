@@ -171,6 +171,123 @@ TEST(IntervalIndexTest, PendingMutationsTriggerRebuild) {
   ExpectQueriesMatch(index, shadow, &rng, 32);
 }
 
+// Remove-heavy differential: a removal tombstones its entry and renumbers
+// the ids above it in place, so each step aims at a case the renumbering
+// must get right — id 0, the last id, a skipped (degenerate) id, an id
+// living in overflow after an Update, and the ids just below and just
+// above a tombstoned slot — checked against brute force after every step.
+TEST(IntervalIndexProperty, RemoveHeavyScriptsMatchBruteForce) {
+  for (uint64_t seed = 0; seed < 100; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(0x2E30000u + seed);
+    std::vector<ShadowEntry> shadow;
+    const size_t initial = 80 + rng.NextBelow(200);
+    for (size_t i = 0; i < initial; ++i) shadow.push_back(RandomEntry(&rng));
+    IntervalOverlapIndex index;
+    BuildFromShadow(&index, shadow);
+
+    const auto update = [&](size_t id, ShadowEntry entry) {
+      shadow[id] = entry;
+      index.Update(id, entry.lo, entry.hi, entry.skip);
+    };
+    const auto remove = [&](size_t id) {
+      shadow.erase(shadow.begin() + static_cast<ptrdiff_t>(id));
+      index.Remove(id);
+      ASSERT_EQ(index.size(), shadow.size());
+      ExpectQueriesMatch(index, shadow, &rng, 3);
+    };
+    while (shadow.size() > 4) {
+      const size_t n = shadow.size();
+      switch (rng.NextBelow(7)) {
+        case 0:
+          remove(0);
+          break;
+        case 1:
+          remove(n - 1);
+          break;
+        case 2: {
+          // A skipped id: the index holds no slot for it.
+          const size_t id = rng.NextBelow(n);
+          ShadowEntry entry = RandomEntry(&rng);
+          entry.skip = true;
+          update(id, entry);
+          remove(id);
+          break;
+        }
+        case 3: {
+          // An id whose live interval sits in overflow.
+          const size_t id = rng.NextBelow(n);
+          ShadowEntry entry = RandomEntry(&rng);
+          entry.skip = false;
+          update(id, entry);
+          remove(id);
+          break;
+        }
+        case 4: {
+          // Neighbours of an Update's tombstone: above it, then below.
+          const size_t id = 1 + rng.NextBelow(n - 2);
+          update(id, RandomEntry(&rng));
+          remove(id + 1);
+          remove(id - 1);
+          break;
+        }
+        case 5: {
+          // Neighbours of a removal's tombstone: the id that slid into
+          // its place, then the one below.
+          const size_t id = 1 + rng.NextBelow(n - 2);
+          remove(id);
+          remove(id);
+          remove(id - 1);
+          break;
+        }
+        default: {
+          const ShadowEntry entry = RandomEntry(&rng);
+          shadow.push_back(entry);
+          index.Append(entry.lo, entry.hi, entry.skip);
+          break;
+        }
+      }
+      if (HasFatalFailure()) return;
+      ASSERT_EQ(index.size(), shadow.size());
+      ExpectQueriesMatch(index, shadow, &rng, 2);
+    }
+  }
+}
+
+// A removal costs one tombstone, not a re-sort: K removes of sorted entries
+// under the max(kBlock, size/8) threshold leave exactly K pending, and the
+// threshold still drains the backlog once removes cross it.
+TEST(IntervalIndexTest, RemovesBelowThresholdLeaveTombstonesPending) {
+  Rng rng(0x7E3Du);
+  std::vector<ShadowEntry> shadow;
+  for (size_t i = 0; i < 1024; ++i) {
+    ShadowEntry entry = RandomEntry(&rng);
+    entry.skip = false;  // Every id holds a sorted slot.
+    shadow.push_back(entry);
+  }
+  IntervalOverlapIndex index;
+  BuildFromShadow(&index, shadow);
+  ASSERT_EQ(index.pending(), 0u);
+
+  constexpr size_t kRemoves = 100;  // Under (1024 - 100) / 8 = 115.
+  for (size_t k = 1; k <= kRemoves; ++k) {
+    const size_t id = rng.NextBelow(shadow.size());
+    shadow.erase(shadow.begin() + static_cast<ptrdiff_t>(id));
+    index.Remove(id);
+    ASSERT_EQ(index.pending(), k);
+  }
+  ExpectQueriesMatch(index, shadow, &rng, 64);
+
+  while (index.pending() != 0) {
+    ASSERT_LE(index.pending(),
+              std::max(IntervalOverlapIndex::kBlock, shadow.size() / 8));
+    const size_t id = rng.NextBelow(shadow.size());
+    shadow.erase(shadow.begin() + static_cast<ptrdiff_t>(id));
+    index.Remove(id);
+  }
+  ExpectQueriesMatch(index, shadow, &rng, 64);
+}
+
 TEST(CandidateBitsetTest, DrainIsSortedDedupedAndSelfClearing) {
   CandidateBitset bits;
   bits.Reset(300);
