@@ -1,7 +1,12 @@
 // Experiment E10 (DESIGN.md): throughput of the DTD-shaped XML persistence
-// layer (serialise and parse) as configurations grow.
+// layer (serialise and parse) as configurations grow: geometry-only
+// documents of 4-256 regions, and the relation-dominated document of a
+// 500-region map after ComputeAllRelations (249,500 <Relation> elements,
+// the shape the full-DTD save and reopen write and read).
 
 #include <benchmark/benchmark.h>
+
+#include <cstdlib>
 
 #include "cardirect/xml.h"
 #include "util/random.h"
@@ -55,6 +60,43 @@ void BM_ParseRawXml(benchmark::State& state) {
                           static_cast<int64_t>(xml.size()));
 }
 BENCHMARK(BM_ParseRawXml)->RangeMultiplier(4)->Range(4, 256);
+
+// The 500-region map with all n(n-1) relations computed: the document is
+// ~95% <Relation> elements by bytes.
+const Configuration& ComputedMap() {
+  static const Configuration* const config = [] {
+    auto* computed = new Configuration(MakeConfig(500));
+    if (!computed->ComputeAllRelations().ok()) std::abort();
+    return computed;
+  }();
+  return *config;
+}
+
+void BM_SerializeComputedMap(benchmark::State& state) {
+  const Configuration& config = ComputedMap();
+  size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string xml = ConfigurationToXml(config);
+    bytes = xml.size();
+    benchmark::DoNotOptimize(xml);
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
+  state.counters["relations"] = static_cast<double>(config.relation_count());
+}
+BENCHMARK(BM_SerializeComputedMap)->Unit(benchmark::kMillisecond);
+
+void BM_ParseComputedMap(benchmark::State& state) {
+  const std::string xml = ConfigurationToXml(ComputedMap());
+  for (auto _ : state) {
+    auto config = ConfigurationFromXml(xml);
+    benchmark::DoNotOptimize(config);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(xml.size()));
+  state.counters["relations"] =
+      static_cast<double>(ComputedMap().relation_count());
+}
+BENCHMARK(BM_ParseComputedMap)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace cardir

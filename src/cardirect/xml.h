@@ -16,10 +16,28 @@
 //             primary IDREF #REQUIRED reference IDREF #REQUIRED>
 //
 // (Each Edge element carries one vertex of the polygon ring.) This module
-// provides a small from-scratch XML subset parser/writer — elements,
+// provides a small from-scratch XML subset reader/writer — elements,
 // attributes, comments, declarations, DOCTYPE, the five predefined entities
 // and numeric character references — plus the DTD-shaped mapping to
 // Configuration.
+//
+// Reading: one pull tokenizer walks the whole document text and reports
+// start-tag, character-data and end-tag events; attribute names view the
+// input, and values holding an entity are decoded into a buffer the
+// tokenizer reuses. Its character classes are the C locale's, whatever the
+// process locale. Two handlers consume the events: ParseXml's builds an
+// XmlNode tree, and ConfigurationFromXml's maps the events straight onto
+// regions, polygons and relation records with no tree in between.
+//
+// Writing: ConfigurationToXml and SaveConfiguration share one emitter
+// that appends the DTD text straight from the Configuration (each region
+// id escaped once, one `<Relation type=...` prefix per relation mask).
+// SaveConfiguration writes through a fixed 64 KiB buffer, so a save holds
+// at most that much document text in memory, not the whole document;
+// mem.xml_buffer is charged that buffer on a save and the whole file text
+// on a load (the tokenizer still needs the full text). Both directions
+// report the xml.parse / xml.serialize spans and their .calls, .bytes and
+// _us metrics, on every path.
 
 #ifndef CARDIR_CARDIRECT_XML_H_
 #define CARDIR_CARDIRECT_XML_H_
@@ -62,18 +80,22 @@ std::string WriteXml(const XmlNode& root, bool pretty = true);
 /// Escapes &, <, >, ", ' for use in attribute values / character data.
 std::string XmlEscape(std::string_view text);
 
-/// Maps a parsed document (DTD shape above) to a Configuration. Region
-/// geometry is validated; Relation records referring to unknown region ids
-/// are rejected.
+/// Maps a document (DTD shape above) to a Configuration as it is read.
+/// Only the DTD's nesting is read (Region and Relation under Image, Polygon
+/// under Region, Edge under Polygon); other elements are skipped with
+/// their content. Region geometry is validated; Relation records referring
+/// to unknown region ids, relating a region to itself or repeating a pair
+/// are rejected, wherever in the document the regions appear.
 Result<Configuration> ConfigurationFromXml(std::string_view xml);
 
-/// Serialises a Configuration to the DTD shape (with xml declaration and
-/// DOCTYPE reference).
+/// Serialises a Configuration to the DTD shape, with the xml declaration.
 std::string ConfigurationToXml(const Configuration& configuration);
 
-/// File convenience wrappers.
+/// Writes ConfigurationToXml's bytes to `path` through a bounded buffer.
 Status SaveConfiguration(const Configuration& configuration,
                          const std::string& path);
+
+/// Reads `path` into memory once and maps it with ConfigurationFromXml.
 Result<Configuration> LoadConfiguration(const std::string& path);
 
 }  // namespace cardir

@@ -1,5 +1,6 @@
 #include "core/cardinal_relation.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "util/logging.h"
@@ -16,8 +17,12 @@ CardinalRelation CardinalRelation::FromMask(uint16_t mask) {
 
 Result<CardinalRelation> CardinalRelation::Parse(std::string_view text) {
   CardinalRelation relation;
-  for (const std::string& piece : StrSplit(text, ':')) {
-    const std::string_view name = StripWhitespace(piece);
+  // Every piece between ':' separators, empty ones included, viewed in
+  // place: the XML reader parses one type per stored pair.
+  for (size_t start = 0, end = 0; start <= text.size(); start = end + 1) {
+    end = std::min(text.find(':', start), text.size());
+    const std::string_view name =
+        StripWhitespace(text.substr(start, end - start));
     Tile tile;
     if (!ParseTile(name, &tile)) {
       return Status::ParseError("unknown tile name: '" + std::string(name) +

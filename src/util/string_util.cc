@@ -3,6 +3,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <cerrno>
 
 namespace cardir {
@@ -55,13 +56,25 @@ std::string StrJoin(const std::vector<std::string>& pieces,
 }
 
 Result<double> ParseDouble(std::string_view text) {
-  const std::string buf(StripWhitespace(text));
-  if (buf.empty()) return Status::ParseError("empty number");
+  const std::string_view digits = StripWhitespace(text);
+  if (digits.empty()) return Status::ParseError("empty number");
+  // strtod needs a terminated copy; a coordinate fits the stack buffer, so
+  // the XML reader's one call per vertex coordinate does not allocate.
+  char stack[64];
+  std::string heap;
+  const char* terminated = stack;
+  if (digits.size() < sizeof stack) {
+    std::memcpy(stack, digits.data(), digits.size());
+    stack[digits.size()] = '\0';
+  } else {
+    heap.assign(digits);
+    terminated = heap.c_str();
+  }
   errno = 0;
   char* end = nullptr;
-  const double value = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size() || errno == ERANGE) {
-    return Status::ParseError("not a number: '" + buf + "'");
+  const double value = std::strtod(terminated, &end);
+  if (end != terminated + digits.size() || errno == ERANGE) {
+    return Status::ParseError("not a number: '" + std::string(digits) + "'");
   }
   return value;
 }

@@ -1,12 +1,17 @@
 // Robustness / fuzz tests for the two textual front doors: the XML parser
 // and the query parser. Property: arbitrary input never crashes and either
 // parses cleanly or returns a ParseError status; structured round-trips
-// survive hostile content (entities, odd names, extreme numbers).
+// survive hostile content (entities, odd names, extreme numbers). On the
+// XML corpora the streaming reader must also accept exactly what the
+// tree-building reference (xml_oracle.h) accepts, and build the same
+// configuration; when an input has several faults the two may report
+// different ones first, so refusals compare ok-ness only.
 
 #include <gtest/gtest.h>
 
 #include "cardirect/query.h"
 #include "cardirect/xml.h"
+#include "cardirect/xml_oracle.h"
 #include "util/random.h"
 
 namespace cardir {
@@ -22,6 +27,23 @@ std::string RandomGarbage(Rng* rng, size_t length) {
     out += kAlphabet[rng->NextBelow(sizeof(kAlphabet) - 1)];
   }
   return out;
+}
+
+// The streaming reader and the reference agree on `input`.
+void ExpectAgreesWithReference(const std::string& input) {
+  const Result<XmlNode> tree = ParseXml(input);
+  const Result<XmlNode> reference_tree = oracle::OracleParseXml(input);
+  ASSERT_EQ(tree.ok(), reference_tree.ok()) << "input: " << input;
+  if (tree.ok()) {
+    EXPECT_EQ(WriteXml(*tree), WriteXml(*reference_tree)) << "input: " << input;
+  }
+  const Result<Configuration> streamed = ConfigurationFromXml(input);
+  const Result<Configuration> reference =
+      oracle::OracleConfigurationFromXml(input);
+  ASSERT_EQ(streamed.ok(), reference.ok())
+      << "input: " << input << "\nstream: " << streamed.status()
+      << "\nreference: " << reference.status();
+  if (streamed.ok()) oracle::ExpectSameConfiguration(*streamed, *reference);
 }
 
 TEST(XmlFuzzTest, GarbageNeverCrashesAndErrorsAreParseErrors) {
@@ -43,6 +65,7 @@ TEST(XmlFuzzTest, GarbageNeverCrashesAndErrorsAreParseErrors) {
                   code == StatusCode::kAlreadyExists)
           << "input: " << input << " -> " << config.status();
     }
+    ExpectAgreesWithReference(input);
   }
 }
 
@@ -78,6 +101,7 @@ TEST(XmlFuzzTest, MutatedValidDocumentsNeverCrash) {
                   code == StatusCode::kAlreadyExists)
           << result.status();
     }
+    ExpectAgreesWithReference(mutated);
   }
 }
 

@@ -51,6 +51,24 @@ TEST(XmlParserTest, RejectsMalformedDocuments) {
   EXPECT_FALSE(ParseXml("<a/><b/>").ok());               // Two roots.
 }
 
+TEST(XmlParserTest, CharacterClassesAreTheCLocales) {
+  // Every C-locale space separates attributes, \v and \f included.
+  auto spaced = ParseXml("<a\vx=\"1\"\fy=\"2\"\t\r\n/>");
+  ASSERT_TRUE(spaced.ok()) << spaced.status();
+  EXPECT_EQ(*spaced->FindAttribute("x"), "1");
+  EXPECT_EQ(*spaced->FindAttribute("y"), "2");
+  // A byte >= 0x80 is no name character, at the start of a name or inside.
+  EXPECT_FALSE(ParseXml("<\xC3\xA9/>").ok());
+  EXPECT_FALSE(ParseXml("<a\xC3\xA9/>").ok());
+  EXPECT_FALSE(ParseXml("<a b\xE9=\"1\"/>").ok());
+  // ...but passes through attribute values and text untouched.
+  auto utf8 = ParseXml("<a v=\"ros\xC3\xA9\">\xC3\xA9</a>");
+  ASSERT_TRUE(utf8.ok()) << utf8.status();
+  EXPECT_EQ(*utf8->FindAttribute("v"), "ros\xC3\xA9");
+  // 0xA0 is a space in some 8-bit locales, and none here.
+  EXPECT_FALSE(ParseXml("<a\xA0x=\"1\"/>").ok());
+}
+
 TEST(XmlWriterTest, EscapesAndRoundTrips) {
   XmlNode node;
   node.tag = "n";
@@ -213,6 +231,8 @@ TEST(ConfigurationXmlTest, SaveAndLoadFiles) {
   EXPECT_EQ(loaded->regions().size(), original.regions().size());
   std::remove(path.c_str());
   EXPECT_FALSE(LoadConfiguration(path + ".does-not-exist").ok());
+  // A directory has no file size to read by; it is refused, not read.
+  EXPECT_FALSE(LoadConfiguration(::testing::TempDir()).ok());
 }
 
 TEST(XmlEscapeTest, EscapesAllFiveEntities) {

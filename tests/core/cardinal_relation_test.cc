@@ -39,6 +39,9 @@ TEST(CardinalRelationTest, ParseRejectsBadInput) {
   EXPECT_FALSE(CardinalRelation::Parse("X").ok());
   EXPECT_FALSE(CardinalRelation::Parse("B:B").ok());      // Duplicate tile.
   EXPECT_FALSE(CardinalRelation::Parse("B::S").ok());     // Empty piece.
+  EXPECT_FALSE(CardinalRelation::Parse("B:").ok());       // Empty last piece.
+  EXPECT_FALSE(CardinalRelation::Parse(":B").ok());       // Empty first piece.
+  EXPECT_FALSE(CardinalRelation::Parse(":").ok());
   EXPECT_FALSE(CardinalRelation::Parse("north").ok());
 }
 

@@ -40,6 +40,9 @@ TEST(ParseDoubleTest, ParsesValidNumbers) {
   EXPECT_DOUBLE_EQ(*ParseDouble("3.25"), 3.25);
   EXPECT_DOUBLE_EQ(*ParseDouble(" -0.5 "), -0.5);
   EXPECT_DOUBLE_EQ(*ParseDouble("1e3"), 1000.0);
+  // Longer than any coordinate the writer emits.
+  EXPECT_DOUBLE_EQ(*ParseDouble(std::string(80, '0') + "2.5"), 2.5);
+  EXPECT_FALSE(ParseDouble(std::string(80, '0') + "2.5x").ok());
 }
 
 TEST(ParseDoubleTest, RejectsGarbage) {
